@@ -24,7 +24,6 @@ from .metric import (
     DecayModel,
     MetricParams,
     SymbolConfig,
-    arg_list_sim_exact,
     arg_list_sim_greedy,
     arg_list_sim_ordered,
     decay,

@@ -13,6 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -186,14 +188,21 @@ class CriticalValueTable:
         self._load_cache()
 
     def _load_cache(self) -> None:
-        if self.cache_path is None or not self.cache_path.exists():
+        # A missing, unreadable or half-written cache is a miss: its values
+        # are recomputed and the file is written again.
+        if self.cache_path is None:
             return
-        data = json.loads(self.cache_path.read_text(encoding="utf-8"))
-        if data.get("seed") != self.seed or data.get("samples") != self.samples:
+        try:
+            data = json.loads(self.cache_path.read_text(encoding="utf-8"))
+            if data.get("seed") != self.seed or data.get("samples") != self.samples:
+                return
+            values = {}
+            for key, value in data.get("values", {}).items():
+                stat, n, level = key.split(":")
+                values[(stat, int(n), int(level))] = float(value)
+        except (OSError, ValueError, AttributeError, TypeError):
             return
-        for key, value in data.get("values", {}).items():
-            stat, n, level = key.split(":")
-            self._values[(stat, int(n), int(level))] = float(value)
+        self._values.update(values)
 
     def _save_cache(self) -> None:
         if self.cache_path is None:
@@ -203,8 +212,19 @@ class CriticalValueTable:
             "samples": self.samples,
             "values": {f"{s}:{n}:{lv}": v for (s, n, lv), v in sorted(self._values.items())},
         }
+        # Written whole to a temporary file and renamed over the cache, so a
+        # reader (another process included) never sees a partial file.
         self.cache_path.parent.mkdir(parents=True, exist_ok=True)
-        self.cache_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        fd, temp = tempfile.mkstemp(
+            dir=self.cache_path.parent, prefix=self.cache_path.name + ".", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(payload, indent=2) + "\n")
+            os.replace(temp, self.cache_path)
+        except BaseException:
+            os.unlink(temp)
+            raise
 
     def _compute_for_n(self, n: int) -> None:
         rng = np.random.default_rng([self.seed, n])

@@ -115,7 +115,7 @@ def _content_children(elem: ET.Element, context: str) -> list[ET.Element]:
     return children
 
 
-def parse_expression(xml_text: str) -> ExprTree:
+def parse_expression(xml_text: str, intern: dict | None = None) -> ExprTree:
     """Parse one Strict Content MathML expression into an :data:`ExprTree`.
 
     ``semantics`` wrappers are stripped to their first content child and a
@@ -123,6 +123,11 @@ def parse_expression(xml_text: str) -> ExprTree:
     :class:`MathMLParseError` for malformed XML (with the byte offset of the
     failure) and :class:`UnsupportedConstructError` for out-of-vocabulary
     elements.
+
+    The tree is hash-consed: structurally equal subtrees are one object.
+    ``intern`` is the table that does it; pass one dict to several calls to
+    share equal subtrees across all the expressions they parse.  It holds
+    every node it has made, so drop it when the load is done.
     """
     try:
         root = ET.fromstring(xml_text)
@@ -133,7 +138,7 @@ def parse_expression(xml_text: str) -> ExprTree:
             f"malformed XML at byte offset {offset} "
             f"(line {line}, column {column}): {exc.msg}"
         ) from exc
-    return _build(_unwrap(root))
+    return _build(_unwrap(root), {} if intern is None else intern)
 
 
 def _unwrap(elem: ET.Element) -> ET.Element:
@@ -148,17 +153,35 @@ def _unwrap(elem: ET.Element) -> ET.Element:
     return elem
 
 
-def _build(elem: ET.Element) -> ExprTree:
+def _leaf(table: dict, cls: type, *fields: str | None) -> ExprTree:
+    key = (cls, *fields)
+    node = table.get(key)
+    if node is None:
+        node = table[key] = cls(*fields)
+    return node
+
+
+def _apply(table: dict, head: ExprTree, args: tuple[ExprTree, ...]) -> Apply:
+    # The children are already interned, so their identity is their structure
+    # (Filliatre & Conchon, "Type-safe modular hash-consing", 2006).
+    key = (Apply, id(head), *map(id, args))
+    node = table.get(key)
+    if node is None:
+        node = table[key] = Apply(head, args)
+    return node
+
+
+def _build(elem: ET.Element, table: dict) -> ExprTree:
     tag = _local(elem.tag)
     if tag == "apply":
         children = _content_children(elem, "apply")
         if not children:
             raise MathMLParseError("<apply> requires a head element")
-        head = _build(children[0])
-        args = tuple(_build(c) for c in children[1:])
-        return Apply(head, args)
+        head = _build(children[0], table)
+        args = tuple(_build(c, table) for c in children[1:])
+        return _apply(table, head, args)
     if tag == "bind":
-        return _build_bind(elem)
+        return _build_bind(elem, table)
     if tag == "csymbol":
         cd = elem.attrib.get("cd")
         if not cd:
@@ -166,12 +189,12 @@ def _build(elem: ET.Element) -> ExprTree:
         name = (elem.text or "").strip()
         if not name or len(elem) > 0:
             raise MathMLParseError("<csymbol> must contain a bare symbol name")
-        return FunctionSymbol(name, cd)
+        return _leaf(table, FunctionSymbol, name, cd)
     if tag == "ci":
         name = (elem.text or "").strip()
         if not name or len(elem) > 0:
             raise MathMLParseError("<ci> must contain a bare variable name")
-        return Variable(name)
+        return _leaf(table, Variable, name)
     if tag == "cn":
         if len(elem) > 0:
             raise UnsupportedConstructError(
@@ -180,16 +203,16 @@ def _build(elem: ET.Element) -> ExprTree:
         value = (elem.text or "").strip()
         if not value:
             raise MathMLParseError("<cn> must contain a literal value")
-        return Constant(value, elem.attrib.get("type"))
+        return _leaf(table, Constant, value, elem.attrib.get("type"))
     raise UnsupportedConstructError(f"unsupported element '{tag}'")
 
 
-def _build_bind(elem: ET.Element) -> Apply:
+def _build_bind(elem: ET.Element, table: dict) -> Apply:
     # Normalised as Apply(binder, bound-variables..., body).
     children = _content_children(elem, "bind")
     if len(children) < 3:
         raise MathMLParseError("<bind> requires a binder, at least one <bvar> and a body")
-    binder = _build(children[0])
+    binder = _build(children[0], table)
     if not isinstance(binder, (FunctionSymbol, Apply)):
         raise MathMLParseError("<bind> binder must be a function symbol")
     bvars: list[ExprTree] = []
@@ -199,12 +222,12 @@ def _build_bind(elem: ET.Element) -> Apply:
         inner = _content_children(bvar, "bvar")
         if len(inner) != 1 or _local(inner[0].tag) != "ci":
             raise MathMLParseError("<bvar> must contain exactly one <ci>")
-        bvars.append(_build(inner[0]))
+        bvars.append(_build(inner[0], table))
     if not bvars:
         raise MathMLParseError("<bind> requires at least one <bvar>")
     if len(rest) != 1:
         raise MathMLParseError("<bind> requires exactly one body expression")
-    return Apply(binder, tuple(bvars) + (_build(rest[0]),))
+    return _apply(table, binder, tuple(bvars) + (_build(rest[0], table),))
 
 
 def height(tree: ExprTree) -> int:

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .mathml import (
     Apply,
@@ -27,7 +27,6 @@ from .mathml import (
     FunctionSymbol,
     LEAF_TYPES,
     Variable,
-    iter_subtrees,
 )
 
 DECAY_KINDS = ("exponential", "linear", "quadratic", "logarithmic")
@@ -236,6 +235,27 @@ def save_params(params: MetricParams, path: str | Path) -> None:
     Path(path).write_text(json.dumps(params.to_dict(), indent=2) + "\n", encoding="utf-8")
 
 
+def _leaf_scorer(params: MetricParams) -> Callable[[ExprTree, ExprTree], float]:
+    """``leaf_sim`` at fixed params, for two nodes already known to be leaves."""
+    delta, zeta, mu, theta = params.delta, params.zeta, params.mu, params.theta
+
+    def score(n1: ExprTree, n2: ExprTree) -> float:
+        kind = type(n1)
+        if kind is not type(n2):
+            if kind is FunctionSymbol or type(n2) is FunctionSymbol:
+                return 0.0
+            return theta
+        if kind is Constant:
+            return 1.0 if n1.value == n2.value else delta
+        if kind is Variable:
+            return 1.0 if n1.name == n2.name else zeta
+        if n1.cd == n2.cd:
+            return 1.0 if n1.name == n2.name else mu
+        return 0.0
+
+    return score
+
+
 def leaf_sim(n1: ExprTree, n2: ExprTree, params: MetricParams) -> float:
     """Similarity of two height-0 nodes.
 
@@ -244,103 +264,118 @@ def leaf_sim(n1: ExprTree, n2: ExprTree, params: MetricParams) -> float:
     """
     if not isinstance(n1, LEAF_TYPES) or not isinstance(n2, LEAF_TYPES):
         raise ValueError("leaf_sim requires two height-0 nodes")
-    if isinstance(n1, Constant) and isinstance(n2, Constant):
-        return 1.0 if n1.value == n2.value else params.delta
-    if isinstance(n1, Variable) and isinstance(n2, Variable):
-        return 1.0 if n1.name == n2.name else params.zeta
-    if isinstance(n1, FunctionSymbol) and isinstance(n2, FunctionSymbol):
-        if n1.cd == n2.cd:
-            return 1.0 if n1.name == n2.name else params.mu
-        return 0.0
-    if isinstance(n1, FunctionSymbol) or isinstance(n2, FunctionSymbol):
-        return 0.0
-    return params.theta
+    return _leaf_scorer(params)(n1, n2)
+
+
+# A node's subtrees by depth below it, one tuple per depth, split into the
+# leaves and the applications: only leaf/leaf and apply/apply pairs align.
+_Levels = tuple[tuple[tuple[ExprTree, ...], ...], tuple[tuple[Apply, ...], ...]]
 
 
 class _SimContext:
-    """Memoised metric evaluation for one top-level query/document pair.
+    """Memoised metric evaluation at one parameter set.
 
-    Caches are keyed on node identity, which is stable for the lifetime of
-    the context because the trees are immutable and held by the caller.
+    ``sim(q, d)`` depends only on the two subtrees and the params, because
+    depths count from the subtrees being compared.  So one context can score
+    any number of query/document pairs, and on interned trees (see
+    :func:`mathml.parse_expression`) an equal subtree of another document
+    hits the same cache entries.  Caches are keyed on node identity, one row
+    per query node.  Every keyed node is held by the walk cache, so no id is
+    reused while the context lives.  Leaf pairs, the most numerous and the
+    cheapest, are recomputed rather than cached, to keep the caches small.
     """
 
     def __init__(self, params: MetricParams, commutative: frozenset[tuple[str, str]]):
         self.params = params
         self.commutative = commutative
-        self._sim_cache: dict[tuple[int, int], float] = {}
-        self._aligned_cache: dict[tuple[int, int], float | None] = {}
-        self._walk_cache: dict[int, list[tuple[int, ExprTree]]] = {}
+        self._sim_rows: dict[int, dict[int, float]] = {}
+        self._aligned_rows: dict[int, dict[int, float]] = {}
+        self._walks: dict[int, _Levels] = {}
+        self._leaf = _leaf_scorer(params)
         self._dp_factors = [1.0]
         self._cp_factors = [1.0]
         self._dp_model = params.dp_model()
         self._cp_model = params.cp_model()
 
-    def _dp(self, k: int) -> float:
-        table = self._dp_factors
-        while len(table) <= k:
-            table.append(decay(self._dp_model, len(table), self.params.epsilon))
-        return table[k]
+    def _factors(self, table: list[float], model: DecayModel, count: int) -> list[float]:
+        while len(table) < count:
+            table.append(decay(model, len(table), self.params.epsilon))
+        return table
 
-    def _cp(self, k: int) -> float:
-        table = self._cp_factors
-        while len(table) <= k:
-            table.append(decay(self._cp_model, len(table), self.params.epsilon))
-        return table[k]
-
-    def _walk(self, tree: ExprTree) -> list[tuple[int, ExprTree]]:
-        # Subtrees with their depth below `tree`, shallowest first so the
-        # depth-bound pruning in sim() can stop early.
-        got = self._walk_cache.get(id(tree))
+    def _walk(self, tree: ExprTree) -> _Levels:
+        # Shallowest first, so the depth-bound pruning in sim() can stop early.
+        got = self._walks.get(id(tree))
         if got is None:
-            got = sorted(iter_subtrees(tree), key=lambda pair: pair[0])
-            self._walk_cache[id(tree)] = got
+            leaves, apps = [], []
+            level: tuple[ExprTree, ...] = (tree,)
+            while level:
+                leaves.append(tuple(n for n in level if type(n) is not Apply))
+                apps.append(tuple(n for n in level if type(n) is Apply))
+                level = tuple(c for a in apps[-1] for c in (a.head, *a.args))
+            got = self._walks[id(tree)] = (tuple(leaves), tuple(apps))
         return got
 
     def sim(self, query: ExprTree, doc: ExprTree) -> float:
-        key = (id(query), id(doc))
-        cached = self._sim_cache.get(key)
-        if cached is not None:
-            return cached
+        if type(query) is not Apply and type(doc) is not Apply:
+            # The only alignment of two leaves is the roots at depth 0.
+            return self._leaf(query, doc)
+        row = self._sim_rows.get(id(query))
+        if row is None:
+            row = self._sim_rows[id(query)] = {}
+        else:
+            cached = row.get(id(doc))
+            if cached is not None:
+                return cached
+        q_leaves, q_apps = self._walk(query)
+        d_leaves, d_apps = self._walk(doc)
+        cp = self._factors(self._cp_factors, self._cp_model, len(q_leaves))
+        self._factors(self._dp_factors, self._dp_model, len(d_leaves))
         best = 0.0
-        for j, sub_q in self._walk(query):
-            cj = self._cp(j)
+        for j in range(len(q_leaves)):
+            cj = cp[j]
             if cj <= best:
                 break
-            for k, sub_d in self._walk(doc):
-                bound = cj * self._dp(k)
-                if bound <= best:
-                    break
-                aligned = self._aligned(sub_q, sub_d)
-                if aligned is not None:
-                    value = bound * aligned
-                    if value > best:
-                        best = value
+            for sub_q in q_leaves[j]:
+                best = self._scan(sub_q, d_leaves, cj, best, self._leaf)
+            for sub_q in q_apps[j]:
+                best = self._scan(sub_q, d_apps, cj, best, self._aligned)
         result = min(best, 1.0)
-        self._sim_cache[key] = result
+        row[id(doc)] = result
         return result
 
-    def _aligned(self, q: ExprTree, d: ExprTree) -> float | None:
-        # Score with both roots aligned; None when one side is a leaf and the
-        # other an application (no direct alignment exists for such pairs).
-        q_leaf = isinstance(q, LEAF_TYPES)
-        d_leaf = isinstance(d, LEAF_TYPES)
-        if q_leaf and d_leaf:
-            return leaf_sim(q, d, self.params)
-        if q_leaf or d_leaf:
-            return None
-        key = (id(q), id(d))
-        if key in self._aligned_cache:
-            return self._aligned_cache[key]
+    def _scan(self, sub_q, d_levels, cj: float, best: float, aligned) -> float:
+        # Raise `best` with the alignments of sub_q (at depth j in the query,
+        # hence cj) and each doc subtree at depth k, scaled by cj * dp(k).
+        # Decay never grows with depth, so once best reaches the bound no
+        # later pair of this level or a deeper one can beat it.
+        dp = self._dp_factors
+        for k, level in enumerate(d_levels):
+            bound = cj * dp[k]
+            if bound <= best:
+                break
+            for sub_d in level:
+                value = bound * aligned(sub_q, sub_d)
+                if value > best:
+                    best = value
+                    if best >= bound:
+                        break
+        return best
+
+    def _aligned(self, q: Apply, d: Apply) -> float:
+        # Score of two applications with their roots aligned.
+        row = self._aligned_rows.get(id(q))
+        if row is None:
+            row = self._aligned_rows[id(q)] = {}
+        else:
+            cached = row.get(id(d))
+            if cached is not None:
+                return cached
         p = len(q.args)
         omega = self.params.omega
         alpha = omega / (p + omega)
         beta = 1.0 / (p + omega)
-        if isinstance(q.head, LEAF_TYPES) and isinstance(d.head, LEAF_TYPES):
-            head_sim = leaf_sim(q.head, d.head, self.params)
-        else:
-            head_sim = self.sim(q.head, d.head)
-        value = alpha * head_sim + beta * self._arg_list_sim(q, d)
-        self._aligned_cache[key] = value
+        value = alpha * self.sim(q.head, d.head) + beta * self._arg_list_sim(q, d)
+        row[id(d)] = value
         return value
 
     def _arg_list_sim(self, q: Apply, d: Apply) -> float:
@@ -415,52 +450,21 @@ def arg_list_sim_greedy(
     return _SimContext(params, commutative).greedy_sum(args1, args2)
 
 
-def arg_list_sim_exact(
-    args1: Sequence[ExprTree],
-    args2: Sequence[ExprTree],
-    params: MetricParams,
-    commutative: frozenset[tuple[str, str]] = DEFAULT_COMMUTATIVE,
-    bound: int = 6,
-    max_assignments: int = 2_000_000,
-) -> float:
-    """Brute-force optimum of the argument assignment; testing oracle only.
-
-    Maximises the similarity sum over every injective mapping of the shorter
-    list into the longer one.  Refuses instances with min(p, q) above
-    ``bound`` or whose enumeration would exceed ``max_assignments``.
-    """
-    import itertools
-
-    p, q = len(args1), len(args2)
-    m = min(p, q)
-    if m == 0:
-        return 0.0
-    if m > bound:
-        raise ValueError(f"exact matching refuses min(p, q)={m} above oracle bound {bound}")
-    n = max(p, q)
-    count = 1
-    for i in range(m):
-        count *= n - i
-    if count > max_assignments:
-        raise ValueError(f"exact matching would enumerate {count} assignments; refusing")
-    ctx = _SimContext(params, commutative)
-    matrix = [[ctx.sim(a, b) for b in args2] for a in args1]
-    best = -math.inf
-    if p <= q:
-        for phi in itertools.permutations(range(q), p):
-            best = max(best, sum(matrix[i][phi[i]] for i in range(p)))
-    else:
-        for psi in itertools.permutations(range(p), q):
-            best = max(best, sum(matrix[psi[j]][j] for j in range(q)))
-    return best
-
-
 def score_document(
     query: ExprTree,
     doc: ExprTree,
     doc_class: FormulaClass,
     params: MetricParams,
     commutative: frozenset[tuple[str, str]] = DEFAULT_COMMUTATIVE,
+    *,
+    context: _SimContext | None = None,
 ) -> float:
-    """Similarity weighted by the document's formula class."""
-    return sim(query, doc, params, commutative) * params.weight_for(doc_class)
+    """Similarity weighted by the document's formula class.
+
+    ``context`` carries subtree scores from call to call; it must have been
+    built for the same ``params`` and ``commutative``.  Without it the pair
+    is scored on its own, which is the reference the shared path must match.
+    """
+    if context is None:
+        context = _SimContext(params, commutative)
+    return context.sim(query, doc) * params.weight_for(doc_class)

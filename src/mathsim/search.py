@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .mathml import ExprTree, FormulaClass, classify, parse_expression
-from .metric import DEFAULT_COMMUTATIVE, MetricParams, SymbolConfig, score_document
+from .metric import DEFAULT_COMMUTATIVE, MetricParams, SymbolConfig, _SimContext, score_document
 
 CORPUS_EXTENSIONS = (".xml", ".mathml")
 
@@ -53,6 +54,8 @@ class HitList:
         if len(self.hits) > self.n:
             raise ValueError(f"hit list longer ({len(self.hits)}) than its limit {self.n}")
         scores = [s for _, s in self.hits]
+        if not all(map(math.isfinite, scores)):
+            raise ValueError(f"hit list for {self.query_id!r} has a non-finite score")
         if any(a < b for a, b in zip(scores, scores[1:])):
             raise ValueError(f"hit list for {self.query_id!r} has increasing scores")
         ids = [d for d, _ in self.hits]
@@ -88,9 +91,13 @@ def _parse_all(entries: list[tuple[str, Path]], what: str) -> list[tuple[str, Pa
         seen[doc_id] = path
     parsed = []
     failures = []
+    # One hash-consing table per load: equal subtrees of different files
+    # become one object, and the table goes when the load returns.
+    intern: dict = {}
     for doc_id, path in entries:
         try:
-            parsed.append((doc_id, path, parse_expression(path.read_text(encoding="utf-8"))))
+            text = path.read_text(encoding="utf-8")
+            parsed.append((doc_id, path, parse_expression(text, intern)))
         except (OSError, ValueError) as exc:
             failures.append(f"{path}: {exc}")
     if failures:
@@ -131,27 +138,42 @@ def search(
     n: int,
     commutative: frozenset[tuple[str, str]] = DEFAULT_COMMUTATIVE,
     query_id: str = "query",
+    *,
+    context: _SimContext | None = None,
 ) -> HitList:
     """Exhaustively score the corpus and keep the ``n`` best documents.
 
     Ordering is total: descending score, then ascending doc_id, so equal
-    inputs always produce identical hit lists.
+    inputs always produce identical hit lists.  Every document is scored
+    through one context, so subtrees the documents share are scored once;
+    pass ``context`` to share it with other searches at the same parameters.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not corpus:
         raise ValueError("cannot search an empty corpus")
+    if context is None:
+        context = _SimContext(params, commutative)
+    elif context.params != params or context.commutative != commutative:
+        raise ValueError("scoring context was built for other parameters")
     scored = [
-        (record.doc_id, score_document(query, record.tree, record.formula_class, params, commutative))
+        (
+            record.doc_id,
+            score_document(
+                query, record.tree, record.formula_class, params, commutative, context=context
+            ),
+        )
         for record in corpus
     ]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return HitList(query_id, tuple(scored[:n]), n)
 
 
-def _search_task(args) -> HitList:
+def _search_task(args, context: _SimContext | None = None) -> HitList:
     query, corpus, params, n, commutative = args
-    return search(query.tree, corpus, params, n, commutative, query_id=query.query_id)
+    return search(
+        query.tree, corpus, params, n, commutative, query_id=query.query_id, context=context
+    )
 
 
 def batch_search(
@@ -162,7 +184,11 @@ def batch_search(
     commutative: frozenset[tuple[str, str]] = DEFAULT_COMMUTATIVE,
     jobs: int = 1,
 ) -> list[HitList]:
-    """One hit list per query; every query id must have an entry in ``n_per_query``."""
+    """One hit list per query; every query id must have an entry in ``n_per_query``.
+
+    Run serially, all queries share one scoring context; with ``jobs > 1``
+    each query is a pool task with a context of its own.
+    """
     missing = [q.query_id for q in queries if q.query_id not in n_per_query]
     if missing:
         raise ValueError(f"no hit-list size configured for queries: {', '.join(sorted(missing))}")
@@ -170,7 +196,8 @@ def batch_search(
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_search_task, tasks))
-    return [_search_task(t) for t in tasks]
+    context = _SimContext(params, commutative)
+    return [_search_task(t, context) for t in tasks]
 
 
 def write_hitlists_csv(hitlists: Sequence[HitList], path: str | Path) -> None:
@@ -219,5 +246,8 @@ def read_hitlists_csv(path: str | Path) -> list[HitList]:
         if [r for r, _, _ in rows] != list(range(1, len(rows) + 1)):
             raise ValueError(f"{path}: ranks for {query_id!r} are not 1..{len(rows)}")
         hits = tuple((doc_id, score) for _, doc_id, score in rows)
-        hitlists.append(HitList(query_id, hits, len(hits)))
+        try:
+            hitlists.append(HitList(query_id, hits, len(hits)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     return hitlists

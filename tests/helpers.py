@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from typing import Sequence
 
 from hypothesis import strategies as st
 
-from mathsim.mathml import Apply, Constant, FunctionSymbol, Variable
-from mathsim.metric import DECAY_KINDS, MetricParams
+from mathsim.mathml import Apply, Constant, ExprTree, FunctionSymbol, Variable
+from mathsim.metric import DECAY_KINDS, DEFAULT_COMMUTATIVE, MetricParams, _SimContext
 
 CDS = ("arith1", "transc1", "setops")
 FUNC_NAMES = ("plus", "times", "sin", "cos", "minus")
@@ -166,3 +168,41 @@ def exhaustive_critical_value(statistic: str, n: int, alpha: float) -> float:
         if total - first_index[value] <= alpha * total:
             return value
     return 1.0
+
+
+def arg_list_sim_exact(
+    args1: Sequence[ExprTree],
+    args2: Sequence[ExprTree],
+    params: MetricParams,
+    commutative: frozenset[tuple[str, str]] = DEFAULT_COMMUTATIVE,
+    bound: int = 6,
+    max_assignments: int = 2_000_000,
+) -> float:
+    """Brute-force optimum of the argument assignment; testing oracle only.
+
+    Maximises the similarity sum over every injective mapping of the shorter
+    list into the longer one.  Refuses instances with min(p, q) above
+    ``bound`` or whose enumeration would exceed ``max_assignments``.
+    """
+    p, q = len(args1), len(args2)
+    m = min(p, q)
+    if m == 0:
+        return 0.0
+    if m > bound:
+        raise ValueError(f"exact matching refuses min(p, q)={m} above oracle bound {bound}")
+    n = max(p, q)
+    count = 1
+    for i in range(m):
+        count *= n - i
+    if count > max_assignments:
+        raise ValueError(f"exact matching would enumerate {count} assignments; refusing")
+    ctx = _SimContext(params, commutative)
+    matrix = [[ctx.sim(a, b) for b in args2] for a in args1]
+    best = -math.inf
+    if p <= q:
+        for phi in itertools.permutations(range(q), p):
+            best = max(best, sum(matrix[i][phi[i]] for i in range(p)))
+    else:
+        for psi in itertools.permutations(range(p), q):
+            best = max(best, sum(matrix[psi[j]][j] for j in range(q)))
+    return best

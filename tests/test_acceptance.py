@@ -16,7 +16,6 @@ from mathsim.mathml import Apply
 from mathsim.metric import (
     DECAY_KINDS,
     DecayModel,
-    arg_list_sim_exact,
     arg_list_sim_greedy,
     decay,
     score_document,
@@ -34,7 +33,7 @@ from mathsim.optimizer import (
     xval_to_csv_text,
 )
 
-from helpers import exhaustive_critical_value, random_params, random_tree
+from helpers import arg_list_sim_exact, exhaustive_critical_value, random_params, random_tree
 
 
 @contextmanager

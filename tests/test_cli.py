@@ -108,6 +108,17 @@ class TestEvaluateCommand:
         code = main(["evaluate", "--config", str(config), "--hitlists", str(external)])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_hitlist_score_is_data_error(self, tmp_path, capsys, bad):
+        config = write_config(tmp_path)
+        external = tmp_path / "bad_hits.csv"
+        external.write_text(
+            f"query_id,rank,doc_id,score\nq_newton,1,newton,{bad}\nq_newton,2,coulomb,0.5\n"
+        )
+        code = main(["evaluate", "--config", str(config), "--hitlists", str(external)])
+        assert code == EXIT_DATA
+        assert "bad_hits.csv" in capsys.readouterr().err
+
     def test_missing_truth_is_data_error(self, tmp_path, capsys):
         truncated = tmp_path / "truth.csv"
         lines = (ASSETS / "truth.csv").read_text().strip().splitlines()

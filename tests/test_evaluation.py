@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from mathsim import evaluation
 from mathsim.evaluation import (
     CriticalValueTable,
     GroundTruth,
@@ -188,6 +191,33 @@ class TestCriticalValues:
         CriticalValueTable(seed=42, cache_path=cache).critical_value("rho", 6, 95)
         fresh = CriticalValueTable(seed=43, cache_path=cache)
         assert not fresh._values
+
+    @pytest.mark.parametrize("damage", ["truncated", "not_json", "wrong_shape"])
+    def test_unreadable_cache_is_a_miss(self, tmp_path, damage):
+        cache = tmp_path / "cv.json"
+        value = CriticalValueTable(seed=42, cache_path=cache).critical_value("rho", 6, 95)
+        text = cache.read_text()
+        cache.write_text(
+            {"truncated": text[: len(text) // 2], "not_json": "\x00\x01", "wrong_shape": "[1, 2]"}[damage]
+        )
+        table = CriticalValueTable(seed=42, cache_path=cache)
+        assert not table._values
+        assert table.critical_value("rho", 6, 95) == value
+        assert json.loads(cache.read_text())["values"]["rho:6:95"] == value
+
+    def test_cache_written_atomically(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cv.json"
+        CriticalValueTable(seed=42, cache_path=cache).critical_value("rho", 6, 95)
+        before = cache.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(evaluation.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            CriticalValueTable(seed=42, cache_path=cache).critical_value("rho", 7, 95)
+        assert cache.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cv.json"]
 
     def test_sample_floor_enforced(self):
         with pytest.raises(ValueError):

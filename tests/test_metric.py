@@ -11,7 +11,6 @@ from mathsim.metric import (
     DEFAULT_COMMUTATIVE,
     DecayModel,
     MetricParams,
-    arg_list_sim_exact,
     arg_list_sim_greedy,
     arg_list_sim_ordered,
     decay,
@@ -22,7 +21,14 @@ from mathsim.metric import (
     sim,
 )
 
-from helpers import make_params, params_strategy, random_params, random_tree, tree_strategy
+from helpers import (
+    arg_list_sim_exact,
+    make_params,
+    params_strategy,
+    random_params,
+    random_tree,
+    tree_strategy,
+)
 
 X, Y, Z, W = Variable("x"), Variable("y"), Variable("z"), Variable("w")
 PLUS = FunctionSymbol("plus", "arith1")

@@ -188,3 +188,16 @@ class TestHitListIO:
 
 def test_query_fixture_types(bundled_queries):
     assert all(isinstance(q, Query) for q in bundled_queries)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_hitlist_rejects_non_finite_scores(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        HitList("q1", (("a", 0.9), ("b", bad)), 2)
+
+
+def test_non_finite_csv_score_names_file(tmp_path):
+    path = tmp_path / "hits.csv"
+    path.write_text("query_id,rank,doc_id,score\nq1,1,a,nan\nq1,2,b,0.5\n")
+    with pytest.raises(ValueError, match="hits.csv.*non-finite"):
+        read_hitlists_csv(path)
