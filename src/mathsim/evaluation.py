@@ -32,7 +32,10 @@ _TAU_CHUNK = 10_000
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Expert ranking of the relevant documents for one query (best first)."""
+    """Expert ranking of the relevant documents for one query (best first).
+
+    At least two documents, so that the rank correlations are defined.
+    """
 
     query_id: str
     ranked_ids: tuple[str, ...]
@@ -40,6 +43,11 @@ class GroundTruth:
     def __post_init__(self) -> None:
         if not self.ranked_ids:
             raise ValueError(f"ground truth for {self.query_id!r} is empty")
+        if len(self.ranked_ids) < 2:
+            raise ValueError(
+                f"ground truth for {self.query_id!r} ranks one document; "
+                "rank correlation needs at least 2"
+            )
         if len(set(self.ranked_ids)) != len(self.ranked_ids):
             raise ValueError(f"ground truth for {self.query_id!r} repeats a document id")
 
@@ -110,8 +118,6 @@ def spearman_rho(hits: HitList, truth: GroundTruth) -> float:
     range so heavy misses saturate at full anticorrelation.
     """
     n = len(truth.ranked_ids)
-    if n < 2:
-        raise ValueError("correlation undefined for fewer than 2 truth items")
     assigned = _assigned_ranks(hits, truth)
     d_sq = sum((truth_rank - got) ** 2 for truth_rank, got in enumerate(assigned, start=1))
     return max(-1.0, min(1.0, 1.0 - 6.0 * d_sq / (n * (n * n - 1))))
@@ -120,8 +126,6 @@ def spearman_rho(hits: HitList, truth: GroundTruth) -> float:
 def kendall_tau(hits: HitList, truth: GroundTruth) -> float:
     """Kendall rank correlation; pairs tied by a shared absent rank count as neither."""
     n = len(truth.ranked_ids)
-    if n < 2:
-        raise ValueError("correlation undefined for fewer than 2 truth items")
     assigned = _assigned_ranks(hits, truth)
     concordant = discordant = 0
     for i in range(n):
@@ -381,16 +385,25 @@ def read_ground_truth_csv(path: str | Path) -> list[GroundTruth]:
             if not row:
                 continue
             if len(row) != 3:
-                raise ValueError(f"{path}: malformed row {row!r}")
+                raise ValueError(f"{path}, line {reader.line_num}: malformed row {row!r}")
             query_id, rank_text, doc_id = row
+            try:
+                rank = int(rank_text)
+            except ValueError:
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: rank {rank_text!r} is not an integer"
+                ) from None
             if query_id not in by_query:
                 by_query[query_id] = []
                 order.append(query_id)
-            by_query[query_id].append((int(rank_text), doc_id))
+            by_query[query_id].append((rank, doc_id))
     truths = []
     for query_id in order:
         rows = sorted(by_query[query_id])
         if [r for r, _ in rows] != list(range(1, len(rows) + 1)):
             raise ValueError(f"{path}: ranks for {query_id!r} are not 1..{len(rows)}")
-        truths.append(GroundTruth(query_id, tuple(doc_id for _, doc_id in rows)))
+        try:
+            truths.append(GroundTruth(query_id, tuple(doc_id for _, doc_id in rows)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     return truths

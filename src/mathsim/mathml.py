@@ -81,6 +81,12 @@ DEFAULT_INEQUALITY_SYMBOLS = frozenset(
     {("relation1", n) for n in ("neq", "lt", "gt", "leq", "geq")}
 )
 
+# Deepest nesting parse_expression accepts: the root is at depth 0 and the
+# head and arguments of an application one level below it.  The recursive
+# walks over trees (the parser, the per-pair metric, ``height``) stay well
+# inside Python's default recursion limit at this depth.
+MAX_DEPTH = 128
+
 _WRAPPER_TAGS = {"math", "semantics"}
 _ANNOTATION_TAGS = {"annotation", "annotation-xml"}
 
@@ -121,8 +127,8 @@ def parse_expression(xml_text: str, intern: dict | None = None) -> ExprTree:
     ``semantics`` wrappers are stripped to their first content child and a
     ``math`` wrapper may enclose the expression.  Raises
     :class:`MathMLParseError` for malformed XML (with the byte offset of the
-    failure) and :class:`UnsupportedConstructError` for out-of-vocabulary
-    elements.
+    failure) or nesting deeper than :data:`MAX_DEPTH`, and
+    :class:`UnsupportedConstructError` for out-of-vocabulary elements.
 
     The tree is hash-consed: structurally equal subtrees are one object.
     ``intern`` is the table that does it; pass one dict to several calls to
@@ -138,7 +144,7 @@ def parse_expression(xml_text: str, intern: dict | None = None) -> ExprTree:
             f"malformed XML at byte offset {offset} "
             f"(line {line}, column {column}): {exc.msg}"
         ) from exc
-    return _build(_unwrap(root), {} if intern is None else intern)
+    return _build(_unwrap(root), {} if intern is None else intern, 0)
 
 
 def _unwrap(elem: ET.Element) -> ET.Element:
@@ -171,17 +177,19 @@ def _apply(table: dict, head: ExprTree, args: tuple[ExprTree, ...]) -> Apply:
     return node
 
 
-def _build(elem: ET.Element, table: dict) -> ExprTree:
+def _build(elem: ET.Element, table: dict, depth: int) -> ExprTree:
+    if depth > MAX_DEPTH:
+        raise MathMLParseError(f"expression nested deeper than {MAX_DEPTH} levels")
     tag = _local(elem.tag)
     if tag == "apply":
         children = _content_children(elem, "apply")
         if not children:
             raise MathMLParseError("<apply> requires a head element")
-        head = _build(children[0], table)
-        args = tuple(_build(c, table) for c in children[1:])
+        head = _build(children[0], table, depth + 1)
+        args = tuple(_build(c, table, depth + 1) for c in children[1:])
         return _apply(table, head, args)
     if tag == "bind":
-        return _build_bind(elem, table)
+        return _build_bind(elem, table, depth)
     if tag == "csymbol":
         cd = elem.attrib.get("cd")
         if not cd:
@@ -207,12 +215,12 @@ def _build(elem: ET.Element, table: dict) -> ExprTree:
     raise UnsupportedConstructError(f"unsupported element '{tag}'")
 
 
-def _build_bind(elem: ET.Element, table: dict) -> Apply:
+def _build_bind(elem: ET.Element, table: dict, depth: int) -> Apply:
     # Normalised as Apply(binder, bound-variables..., body).
     children = _content_children(elem, "bind")
     if len(children) < 3:
         raise MathMLParseError("<bind> requires a binder, at least one <bvar> and a body")
-    binder = _build(children[0], table)
+    binder = _build(children[0], table, depth + 1)
     if not isinstance(binder, (FunctionSymbol, Apply)):
         raise MathMLParseError("<bind> binder must be a function symbol")
     bvars: list[ExprTree] = []
@@ -222,12 +230,12 @@ def _build_bind(elem: ET.Element, table: dict) -> Apply:
         inner = _content_children(bvar, "bvar")
         if len(inner) != 1 or _local(inner[0].tag) != "ci":
             raise MathMLParseError("<bvar> must contain exactly one <ci>")
-        bvars.append(_build(inner[0], table))
+        bvars.append(_build(inner[0], table, depth + 1))
     if not bvars:
         raise MathMLParseError("<bind> requires at least one <bvar>")
     if len(rest) != 1:
         raise MathMLParseError("<bind> requires exactly one body expression")
-    return _apply(table, binder, tuple(bvars) + (_build(rest[0], table),))
+    return _apply(table, binder, tuple(bvars) + (_build(rest[0], table, depth + 1),))
 
 
 def height(tree: ExprTree) -> int:

@@ -273,16 +273,17 @@ _Levels = tuple[tuple[tuple[ExprTree, ...], ...], tuple[tuple[Apply, ...], ...]]
 
 
 class _SimContext:
-    """Memoised metric evaluation at one parameter set.
+    """Memoised, pruned metric evaluation at one parameter set: the reference.
 
     ``sim(q, d)`` depends only on the two subtrees and the params, because
     depths count from the subtrees being compared.  So one context can score
-    any number of query/document pairs, and on interned trees (see
-    :func:`mathml.parse_expression`) an equal subtree of another document
-    hits the same cache entries.  Caches are keyed on node identity, one row
-    per query node.  Every keyed node is held by the walk cache, so no id is
-    reused while the context lives.  Leaf pairs, the most numerous and the
-    cheapest, are recomputed rather than cached, to keep the caches small.
+    any number of query/document pairs; :func:`sim` and
+    :func:`score_document` use a fresh one per pair, and the all-pairs engine
+    in :mod:`mathsim.engine` must match them.  Caches are keyed on node
+    identity, one row per query node.  Every keyed node is held by the walk
+    cache, so no id is reused while the context lives.  Leaf pairs, the most
+    numerous and the cheapest, are recomputed rather than cached, to keep the
+    caches small.
     """
 
     def __init__(self, params: MetricParams, commutative: frozenset[tuple[str, str]]):
@@ -456,15 +457,10 @@ def score_document(
     doc_class: FormulaClass,
     params: MetricParams,
     commutative: frozenset[tuple[str, str]] = DEFAULT_COMMUTATIVE,
-    *,
-    context: _SimContext | None = None,
 ) -> float:
     """Similarity weighted by the document's formula class.
 
-    ``context`` carries subtree scores from call to call; it must have been
-    built for the same ``params`` and ``commutative``.  Without it the pair
-    is scored on its own, which is the reference the shared path must match.
+    The pair is scored on its own; this is the reference that the all-pairs
+    engine behind :func:`search.search` must match bit for bit.
     """
-    if context is None:
-        context = _SimContext(params, commutative)
-    return context.sim(query, doc) * params.weight_for(doc_class)
+    return _SimContext(params, commutative).sim(query, doc) * params.weight_for(doc_class)

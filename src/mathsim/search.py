@@ -13,11 +13,15 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
+from .engine import NodeTable, prunes_exactly, similarities
 from .mathml import ExprTree, FormulaClass, classify, parse_expression
-from .metric import DEFAULT_COMMUTATIVE, MetricParams, SymbolConfig, _SimContext, score_document
+from .metric import DEFAULT_COMMUTATIVE, MetricParams, SymbolConfig, score_document
 
 CORPUS_EXTENSIONS = (".xml", ".mathml")
 
@@ -66,6 +70,19 @@ class HitList:
         return tuple(d for d, _ in self.hits)
 
 
+class Corpus(tuple):
+    """The documents of one load, in id order, with their compiled node table.
+
+    The table is built on the first search and kept with the corpus, so a
+    load pays for it at most once.  Searches also accept a plain sequence of
+    documents, compiled afresh on every call.
+    """
+
+    @cached_property
+    def table(self) -> NodeTable:
+        return NodeTable([record.tree for record in self])
+
+
 def _discover(directory: str | Path) -> list[tuple[str, Path]]:
     root = Path(directory)
     if not root.is_dir():
@@ -108,19 +125,17 @@ def _parse_all(entries: list[tuple[str, Path]], what: str) -> list[tuple[str, Pa
     return parsed
 
 
-def load_corpus(
-    directory: str | Path, symbols: SymbolConfig = SymbolConfig()
-) -> list[DocumentRecord]:
+def load_corpus(directory: str | Path, symbols: SymbolConfig = SymbolConfig()) -> Corpus:
     """Parse and classify every expression file under ``directory``.
 
     Document ids are relative paths without the extension, in lexicographic
     order.  Any unreadable or unparsable file fails the whole load, naming
     the offending files.
     """
-    return [
+    return Corpus(
         DocumentRecord(doc_id, str(path), tree, classify(tree, symbols.equality, symbols.inequality))
         for doc_id, path, tree in _parse_all(_discover(directory), "corpus")
-    ]
+    )
 
 
 def load_queries(directory: str | Path) -> list[Query]:
@@ -131,6 +146,39 @@ def load_queries(directory: str | Path) -> list[Query]:
     ]
 
 
+def _scores(
+    queries: Sequence[ExprTree],
+    corpus: Sequence[DocumentRecord],
+    params: MetricParams,
+    commutative: frozenset[tuple[str, str]],
+) -> list[list[float]]:
+    """``score_document`` of every query against every document, as floats."""
+    compiled = NodeTable(queries)
+    if not prunes_exactly(params.omega, compiled):
+        # An aligned score above 1 makes the reference's pruning part of the
+        # result, so only the reference itself gives it.
+        return [
+            [score_document(q, d.tree, d.formula_class, params, commutative) for d in corpus]
+            for q in queries
+        ]
+    docs = corpus.table if isinstance(corpus, Corpus) else NodeTable([d.tree for d in corpus])
+    sims = similarities(docs, compiled, params, commutative)[np.ix_(compiled.roots, docs.roots)]
+    weights = np.array([params.weight_for(d.formula_class) for d in corpus])
+    return (sims * weights).tolist()
+
+
+def _ranked(query_id: str, corpus: Sequence[DocumentRecord], scores: list[float], n: int) -> HitList:
+    scored = sorted(zip((d.doc_id for d in corpus), scores), key=lambda pair: (-pair[1], pair[0]))
+    return HitList(query_id, tuple(scored[:n]), n)
+
+
+def _check_search(corpus: Sequence[DocumentRecord], n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not corpus:
+        raise ValueError("cannot search an empty corpus")
+
+
 def search(
     query: ExprTree,
     corpus: Sequence[DocumentRecord],
@@ -138,42 +186,20 @@ def search(
     n: int,
     commutative: frozenset[tuple[str, str]] = DEFAULT_COMMUTATIVE,
     query_id: str = "query",
-    *,
-    context: _SimContext | None = None,
 ) -> HitList:
     """Exhaustively score the corpus and keep the ``n`` best documents.
 
     Ordering is total: descending score, then ascending doc_id, so equal
-    inputs always produce identical hit lists.  Every document is scored
-    through one context, so subtrees the documents share are scored once;
-    pass ``context`` to share it with other searches at the same parameters.
+    inputs always produce identical hit lists.  Scores are those of
+    :func:`score_document`, computed for all documents at once.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not corpus:
-        raise ValueError("cannot search an empty corpus")
-    if context is None:
-        context = _SimContext(params, commutative)
-    elif context.params != params or context.commutative != commutative:
-        raise ValueError("scoring context was built for other parameters")
-    scored = [
-        (
-            record.doc_id,
-            score_document(
-                query, record.tree, record.formula_class, params, commutative, context=context
-            ),
-        )
-        for record in corpus
-    ]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return HitList(query_id, tuple(scored[:n]), n)
+    _check_search(corpus, n)
+    return _ranked(query_id, corpus, _scores([query], corpus, params, commutative)[0], n)
 
 
-def _search_task(args, context: _SimContext | None = None) -> HitList:
+def _search_task(args) -> HitList:
     query, corpus, params, n, commutative = args
-    return search(
-        query.tree, corpus, params, n, commutative, query_id=query.query_id, context=context
-    )
+    return search(query.tree, corpus, params, n, commutative, query_id=query.query_id)
 
 
 def batch_search(
@@ -186,8 +212,8 @@ def batch_search(
 ) -> list[HitList]:
     """One hit list per query; every query id must have an entry in ``n_per_query``.
 
-    Run serially, all queries share one scoring context; with ``jobs > 1``
-    each query is a pool task with a context of its own.
+    Run serially, all queries are scored in one pass, so subtrees they share
+    are scored once; with ``jobs > 1`` each query is a pool task.
     """
     missing = [q.query_id for q in queries if q.query_id not in n_per_query]
     if missing:
@@ -196,8 +222,15 @@ def batch_search(
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_search_task, tasks))
-    context = _SimContext(params, commutative)
-    return [_search_task(t, context) for t in tasks]
+    for q in queries:
+        _check_search(corpus, n_per_query[q.query_id])
+    if not queries:
+        return []
+    scores = _scores([q.tree for q in queries], corpus, params, commutative)
+    return [
+        _ranked(q.query_id, corpus, row, n_per_query[q.query_id])
+        for q, row in zip(queries, scores)
+    ]
 
 
 def write_hitlists_csv(hitlists: Sequence[HitList], path: str | Path) -> None:
@@ -234,12 +267,19 @@ def read_hitlists_csv(path: str | Path) -> list[HitList]:
             if not row:
                 continue
             if len(row) != 4:
-                raise ValueError(f"{path}: malformed row {row!r}")
+                raise ValueError(f"{path}, line {reader.line_num}: malformed row {row!r}")
             query_id, rank_text, doc_id, score_text = row
+            try:
+                rank, score = int(rank_text), float(score_text)
+            except ValueError:
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: rank {rank_text!r} or score "
+                    f"{score_text!r} is not a number"
+                ) from None
             if query_id not in by_query:
                 by_query[query_id] = []
                 order.append(query_id)
-            by_query[query_id].append((int(rank_text), doc_id, float(score_text)))
+            by_query[query_id].append((rank, doc_id, score))
     hitlists = []
     for query_id in order:
         rows = sorted(by_query[query_id])

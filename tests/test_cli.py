@@ -11,6 +11,13 @@ from mathsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 ASSETS = Path(__file__).resolve().parent.parent / "assets"
 
 
+def nested_minus(depth):
+    body = "<ci>x</ci>"
+    for _ in range(depth):
+        body = f"<apply><csymbol cd='arith1'>minus</csymbol>{body}</apply>"
+    return body
+
+
 def write_config(tmp_path, **overrides):
     tiny_space = {
         "order": ["omega", "zeta"],
@@ -50,6 +57,14 @@ class TestParseCommand:
         bad.write_text("<math><nope/></math>")
         assert main(["parse", str(bad)]) == EXIT_DATA
         assert "nope" in capsys.readouterr().err
+
+    def test_parse_too_deep_is_data_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.xml"
+        deep.write_text(f"<math>{nested_minus(300)}</math>")
+        assert main(["parse", str(deep)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "deep.xml" in err and "nested deeper than 128 levels" in err
+        assert "Traceback" not in err
 
 
 class TestSearchCommand:
@@ -118,6 +133,31 @@ class TestEvaluateCommand:
         code = main(["evaluate", "--config", str(config), "--hitlists", str(external)])
         assert code == EXIT_DATA
         assert "bad_hits.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rank,score", [("1", "abc"), ("first", "0.9")])
+    def test_non_numeric_hitlist_field_is_data_error(self, tmp_path, capsys, rank, score):
+        config = write_config(tmp_path)
+        external = tmp_path / "bad_hits.csv"
+        external.write_text(
+            f"query_id,rank,doc_id,score\nq_newton,2,coulomb,0.5\nq_newton,{rank},newton,{score}\n"
+        )
+        code = main(["evaluate", "--config", str(config), "--hitlists", str(external)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "bad_hits.csv, line 3" in err and "not a number" in err
+
+    def test_non_numeric_truth_rank_is_data_error(self, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        lines = (ASSETS / "truth.csv").read_text().strip().splitlines()
+        lines[2] = lines[2].replace(",2,", ",two,", 1)
+        truth.write_text("\n".join(lines) + "\n")
+        config = write_config(tmp_path, truth_file=str(truth))
+        hitlists = tmp_path / "hits.csv"
+        hitlists.write_text("query_id,rank,doc_id,score\nq_newton,1,newton,0.9\n")
+        code = main(["evaluate", "--config", str(config), "--hitlists", str(hitlists)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "truth.csv, line 3" in err and "'two' is not an integer" in err
 
     def test_missing_truth_is_data_error(self, tmp_path, capsys):
         truncated = tmp_path / "truth.csv"

@@ -39,11 +39,21 @@ class TestGroundTruth:
         with pytest.raises(ValueError, match="repeats"):
             GroundTruth("q", ("a", "a"))
 
+    def test_single_item_rejected(self):
+        with pytest.raises(ValueError, match="one document"):
+            GroundTruth("q", ("a",))
+
     def test_csv_reader(self, tmp_path):
         path = tmp_path / "truth.csv"
-        path.write_text("query_id,rank,doc_id\nq1,1,a\nq1,2,b\nq2,1,c\n")
+        path.write_text("query_id,rank,doc_id\nq1,1,a\nq1,2,b\nq2,2,d\nq2,1,c\n")
         truths = read_ground_truth_csv(path)
-        assert truths == [GroundTruth("q1", ("a", "b")), GroundTruth("q2", ("c",))]
+        assert truths == [GroundTruth("q1", ("a", "b")), GroundTruth("q2", ("c", "d"))]
+
+    def test_csv_single_item_names_file_and_query(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text("query_id,rank,doc_id\nq1,1,a\nq1,2,b\nq2,1,c\n")
+        with pytest.raises(ValueError, match=r"truth\.csv: ground truth for 'q2' ranks one document"):
+            read_ground_truth_csv(path)
 
     def test_csv_gap_in_ranks_rejected(self, tmp_path):
         path = tmp_path / "truth.csv"
@@ -244,7 +254,9 @@ class TestEvaluate:
 
     def test_unmatched_query_named(self, mc_table):
         with pytest.raises(ValueError, match="mystery"):
-            evaluate([hits_of("a", query_id="mystery")], [truth_of("a", query_id="other")], mc_table)
+            evaluate(
+                [hits_of("a", query_id="mystery")], [truth_of("a", "b", query_id="other")], mc_table
+            )
 
     def test_small_truth_skips_significance(self, mc_table):
         report = evaluate([hits_of("a", "b")], [truth_of("a", "b")], mc_table)

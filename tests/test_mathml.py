@@ -7,6 +7,7 @@ from mathsim.mathml import (
     Apply,
     Constant,
     FormulaClass,
+    MAX_DEPTH,
     FunctionSymbol,
     MathMLParseError,
     UnsupportedConstructError,
@@ -130,6 +131,17 @@ class TestParseErrors:
     def test_empty_ci(self):
         with pytest.raises(MathMLParseError, match="ci"):
             parse_expression("<ci>  </ci>")
+
+    def test_nesting_depth_limited(self):
+        def nested(depth):
+            body = "<ci>x</ci>"
+            for _ in range(depth):
+                body = f'<apply><csymbol cd="arith1">minus</csymbol>{body}</apply>'
+            return body
+
+        assert height(parse_expression(nested(MAX_DEPTH))) == MAX_DEPTH
+        with pytest.raises(MathMLParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+            parse_expression(nested(MAX_DEPTH + 1))
 
 
 class TestHeight:

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -52,6 +53,15 @@ class TestLoadCorpus:
             write_expr(tmp_path / f"{name}.xml")
         (tmp_path / "broken.xml").write_text("<math><oops>", encoding="utf-8")
         with pytest.raises(CorpusLoadError, match="broken.xml"):
+            load_corpus(tmp_path)
+
+    def test_too_deep_file_named(self, tmp_path):
+        write_expr(tmp_path / "a.xml")
+        body = "<ci>x</ci>"
+        for _ in range(300):
+            body = f"<apply><csymbol cd='arith1'>minus</csymbol>{body}</apply>"
+        write_expr(tmp_path / "deep.xml", body)
+        with pytest.raises(CorpusLoadError, match=r"deep\.xml: expression nested deeper than 128"):
             load_corpus(tmp_path)
 
     def test_missing_directory(self, tmp_path):
@@ -201,3 +211,20 @@ def test_non_finite_csv_score_names_file(tmp_path):
     path.write_text("query_id,rank,doc_id,score\nq1,1,a,nan\nq1,2,b,0.5\n")
     with pytest.raises(ValueError, match="hits.csv.*non-finite"):
         read_hitlists_csv(path)
+
+
+def test_traced_names_stay_bound():
+    # The benchmark's traced run wraps these names in the search module's
+    # globals, where search() and load_corpus() look them up.
+    module = importlib.import_module("mathsim.search")
+    for name in ("score_document", "parse_expression", "load_corpus", "search", "read_hitlists_csv"):
+        assert callable(vars(module)[name]), name
+
+
+def test_scores_are_python_floats(bundled_corpus, bundled_queries, bundled_params, bundled_symbols):
+    # write_hitlists_csv writes repr(score), which must not read np.float64(...).
+    sizes = {q.query_id: len(bundled_corpus) for q in bundled_queries}
+    hitlists = [search(bundled_queries[0].tree, bundled_corpus, bundled_params, 5)]
+    hitlists += batch_search(bundled_queries, bundled_corpus, bundled_params, sizes, bundled_symbols.commutative)
+    for hitlist in hitlists:
+        assert all(type(score) is float for _, score in hitlist.hits)

@@ -1,26 +1,46 @@
-"""The shared scoring path against the per-pair reference.
+"""The all-pairs engine behind search() against the per-pair reference.
 
-Loading hash-conses the trees, and search()/batch_search() score through one
-context per call, so equal subtrees of different documents are scored once.
-Every score must still equal, bit for bit, what score_document gives for the
-pair on its own.
+search() and batch_search() score every query against every document at once,
+over node tables compiled from the distinct subtrees.  Every score must equal,
+bit for bit, what score_document gives for the pair on its own.
 """
 
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mathsim import engine
+from mathsim.engine import NodeTable, prunes_exactly, similarities
 from mathsim.mathml import (
     Apply,
+    Constant,
     FunctionSymbol,
+    Variable,
+    classify,
     iter_subtrees,
     parse_expression,
     serialize_expression,
 )
-from mathsim.metric import DECAY_KINDS, _SimContext, score_document
-from mathsim.search import batch_search, load_corpus, load_queries, search
+from mathsim.metric import DECAY_KINDS, score_document, sim
+from mathsim.search import (
+    Corpus,
+    DocumentRecord,
+    Query,
+    batch_search,
+    load_corpus,
+    load_queries,
+    search,
+)
 
-from helpers import make_params, random_params, random_tree
+from helpers import make_params, params_strategy, random_params, random_tree, tree_strategy
+
+X, Y, Z = Variable("x"), Variable("y"), Variable("z")
+TWO, HALF = Constant("2"), Constant("0.5")
+PLUS, TIMES = FunctionSymbol("plus", "arith1"), FunctionSymbol("times", "arith1")
+MINUS, SIN = FunctionSymbol("minus", "arith1"), FunctionSymbol("sin", "transc1")
 
 
 def ranked_reference(query, corpus, params, commutative):
@@ -38,9 +58,19 @@ def assert_shared_equals_per_pair(queries, corpus, params, commutative):
     for q in queries:
         got = search(q.tree, corpus, params, n, commutative, query_id=q.query_id)
         assert got.hits == reference[q.query_id]
+        assert all(type(score) is float for _, score in got.hits)
     sizes = {q.query_id: n for q in queries}
     for got in batch_search(queries, corpus, params, sizes, commutative):
         assert got.hits == reference[got.query_id]
+
+
+def plain_corpus(trees):
+    """Documents in a plain list, as tests build them: nothing is interned."""
+    return [DocumentRecord(f"d{i:02d}", "<mem>", t, classify(t)) for i, t in enumerate(trees)]
+
+
+def plain_queries(trees):
+    return [Query(f"q{i:02d}", t) for i, t in enumerate(trees)]
 
 
 def write_random_inputs(directory, seed):
@@ -113,10 +143,146 @@ def test_intern_table_spans_calls():
     assert parse_expression(text) == first
 
 
-def test_context_for_other_params_rejected(bundled_corpus, bundled_queries, bundled_symbols):
-    context = _SimContext(make_params(mu=0.4), bundled_symbols.commutative)
-    with pytest.raises(ValueError, match="other parameters"):
-        search(
-            bundled_queries[0].tree, bundled_corpus, make_params(mu=0.6), 5,
-            bundled_symbols.commutative, context=context,
-        )
+@pytest.mark.parametrize("kind", DECAY_KINDS)
+def test_plain_list_corpus_equals_per_pair(kind, bundled_symbols):
+    rng = random.Random(300 + DECAY_KINDS.index(kind))
+    trees = [random_tree(rng, max_height=4, max_fanout=4) for _ in range(20)]
+    # Equal to earlier documents but built apart, so equal without being identical.
+    trees += [parse_expression(serialize_expression(t)) for t in trees[:5]]
+    corpus = plain_corpus(trees)
+    queries = plain_queries([random_tree(rng, 3, 3) for _ in range(4)] + [trees[3]])
+    for params in (random_params(rng, kind), random_params(rng, kind)):
+        assert_shared_equals_per_pair(queries, corpus, params, bundled_symbols.commutative)
+
+
+# Leaves only, arities that differ, and commutative heads whose arguments tie.
+EDGE_DOCS = [
+    X, Y, TWO, HALF, PLUS, SIN,
+    Apply(PLUS, ()),
+    Apply(PLUS, (X,)),
+    Apply(PLUS, (X, X)),
+    Apply(PLUS, (Y, X, X)),
+    Apply(PLUS, (X, Y, Z, TWO)),
+    Apply(TIMES, (X, X, X)),
+    Apply(TIMES, (Apply(SIN, (X,)), Apply(SIN, (X,)))),
+    Apply(MINUS, (X, Y)),
+    Apply(MINUS, (Y, X, Z)),
+    Apply(SIN, (Apply(PLUS, (X, Y)),)),
+    Apply(Apply(PLUS, (X,)), (Y, Y)),
+]
+EDGE_QUERIES = [
+    X, TWO, PLUS,
+    Apply(PLUS, ()),
+    Apply(PLUS, (X, X)),
+    Apply(PLUS, (X, Y)),
+    Apply(TIMES, (Apply(SIN, (X,)), X)),
+    Apply(MINUS, (X, Y, Y)),
+    Apply(MINUS, (Y,)),
+    Apply(Apply(PLUS, (X,)), (Y,)),
+]
+# The grid's extremes: smallest and largest omega, zero delta and theta.
+EXTREMES = [
+    {"omega": 1.5, "delta": 0.0, "theta": 0.0},
+    {"omega": 5.0, "delta": 0.0, "theta": 0.0},
+    {"omega": 1.5, "mu": 0.9, "zeta": 0.9},
+]
+
+
+@pytest.mark.parametrize("kind", DECAY_KINDS)
+@pytest.mark.parametrize("extreme", EXTREMES)
+def test_edge_trees_equal_per_pair(kind, extreme, bundled_symbols):
+    rate = 1.0 if kind == "exponential" else 0.9
+    params = make_params(decay_model=kind, dp_rate=rate, cp_rate=0.1, **extreme)
+    assert_shared_equals_per_pair(
+        plain_queries(EDGE_QUERIES), plain_corpus(EDGE_DOCS), params, bundled_symbols.commutative
+    )
+
+
+@pytest.mark.parametrize("kind", DECAY_KINDS)
+@pytest.mark.parametrize("omega", [1.5, 5.0])
+def test_bundled_grid_extremes_equal_per_pair(
+    kind, omega, bundled_corpus, bundled_queries, bundled_symbols
+):
+    params = make_params(decay_model=kind, omega=omega, delta=0.0, theta=0.0, dp_rate=0.9, cp_rate=0.1)
+    assert_shared_equals_per_pair(
+        bundled_queries, bundled_corpus, params, bundled_symbols.commutative
+    )
+
+
+def test_one_row_passes_equal_per_pair(monkeypatch, bundled_queries, bundled_corpus, bundled_symbols):
+    # Room for one row at a time cuts every block and every update of the
+    # ancestors into pieces of one.
+    monkeypatch.setattr(engine, "_CELLS", 1)
+    assert_shared_equals_per_pair(
+        plain_queries(EDGE_QUERIES), plain_corpus(EDGE_DOCS), make_params(), bundled_symbols.commutative
+    )
+    assert_shared_equals_per_pair(
+        bundled_queries[:3], bundled_corpus, make_params(decay_model="logarithmic"),
+        bundled_symbols.commutative,
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(tree_strategy, min_size=1, max_size=6),
+    st.lists(tree_strategy, min_size=1, max_size=3),
+    params_strategy,
+)
+def test_random_trees_equal_per_pair(docs, queries, params):
+    assert_shared_equals_per_pair(
+        plain_queries(queries), plain_corpus(docs), params, frozenset({("arith1", "plus")})
+    )
+
+
+def test_prunes_exactly_on_the_grid():
+    wide = NodeTable([Apply(PLUS, (X,) * p) for p in range(44)])
+    for omega in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0):
+        assert prunes_exactly(omega, wide)
+    assert not prunes_exactly(1.5, NodeTable([Apply(PLUS, (X,) * 44)]))
+
+
+def test_unprunable_omega_scored_by_reference():
+    # At omega 3.1 a one-argument application can align above 1.  The
+    # reference's pruning then shapes its result, and the engine's all-pairs
+    # maximum differs from it in the last digit, so search() must fall back.
+    F, G = FunctionSymbol("f", "a"), FunctionSymbol("g", "a")
+
+    def f(*args):
+        return Apply(F, args)
+
+    def g(*args):
+        return Apply(G, args)
+
+    query = g(f(X), g(F, f(Y), f(X, F, X)))
+    doc = g(X, g(f(Y, f(Y), f(F))), X)
+    params = make_params(zeta=1.0, omega=3.1, decay_model="linear", dp_rate=0.1, cp_rate=0.1)
+    queries, docs = NodeTable([query]), NodeTable([doc])
+    assert not prunes_exactly(params.omega, queries)
+    engine = similarities(docs, queries, params, frozenset())[queries.roots[0], docs.roots[0]]
+    assert engine != sim(query, doc, params, frozenset())
+    corpus = plain_corpus([doc])
+    reference = score_document(query, doc, corpus[0].formula_class, params, frozenset())
+    assert search(query, corpus, params, 1, frozenset()).hits == (("d00", reference),)
+
+
+def test_deepest_accepted_tree_equals_per_pair(bundled_symbols):
+    def nested(depth, leaf):
+        tree = leaf
+        for _ in range(depth):
+            tree = Apply(MINUS, (tree,))
+        return tree
+
+    corpus = plain_corpus([nested(128, X), nested(127, X), nested(126, Y)])
+    queries = plain_queries([nested(128, X), nested(3, X)])
+    assert_shared_equals_per_pair(queries, corpus, make_params(), bundled_symbols.commutative)
+
+
+def test_corpus_compiles_once_and_pickles(bundled_corpus, bundled_queries, bundled_params):
+    assert isinstance(bundled_corpus, Corpus)
+    assert bundled_corpus.table is bundled_corpus.table
+    copy = pickle.loads(pickle.dumps(bundled_corpus))
+    assert copy == bundled_corpus
+    query = bundled_queries[0].tree
+    expected = search(query, list(bundled_corpus), bundled_params, 10)
+    assert search(query, bundled_corpus, bundled_params, 10) == expected
+    assert search(query, copy, bundled_params, 10) == expected
