@@ -45,7 +45,6 @@ from .evaluation import (
     CriticalValueTable,
     EvalReport,
     GroundTruth,
-    critical_value,
     evaluate,
     kendall_tau,
     overall_recall,

@@ -19,7 +19,6 @@ from pathlib import Path
 from . import evaluation, mathml, metric, optimizer
 from .search import (
     CorpusLoadError,
-    Query,
     batch_search,
     load_corpus,
     load_queries,
@@ -162,40 +161,17 @@ def cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _matched_queries(
-    queries: list[Query], truths: list[evaluation.GroundTruth]
-) -> None:
-    query_ids = {q.query_id for q in queries}
-    truth_ids = {t.query_id for t in truths}
-    missing_truth = sorted(query_ids - truth_ids)
-    missing_query = sorted(truth_ids - query_ids)
-    problems = []
-    if missing_truth:
-        problems.append(f"queries without ground truth: {', '.join(missing_truth)}")
-    if missing_query:
-        problems.append(f"ground truth without queries: {', '.join(missing_query)}")
-    if problems:
-        raise ValueError("; ".join(problems))
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     truths = evaluation.read_ground_truth_csv(config.truth_file)
     if args.hitlists is not None:
         hitlists = read_hitlists_csv(args.hitlists)
-        truth_ids = {t.query_id for t in truths}
-        unmatched = sorted({h.query_id for h in hitlists} - truth_ids)
-        if unmatched:
-            raise ValueError(f"hit lists without ground truth: {', '.join(unmatched)}")
     else:
         params, symbols = _load_params(config)
         corpus = load_corpus(config.corpus_dir, symbols)
         queries = load_queries(config.queries_dir)
-        _matched_queries(queries, truths)
-        sizes = {t.query_id: len(t.ranked_ids) for t in truths}
-        hitlists = batch_search(
-            queries, corpus, params, sizes, symbols.commutative, jobs=args.jobs
-        )
+        sizes = evaluation.truth_sizes((q.query_id for q in queries), truths)
+        hitlists = batch_search(queries, corpus, params, sizes, symbols.commutative)
         write_hitlists_csv(hitlists, config.output_dir / "hitlists.csv")
     report = evaluation.evaluate(hitlists, truths, _table(config))
     evaluation.write_report_csv(report, config.output_dir / "report.csv")
@@ -211,7 +187,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     corpus = load_corpus(config.corpus_dir, symbols)
     queries = load_queries(config.queries_dir)
     truths = evaluation.read_ground_truth_csv(config.truth_file)
-    _matched_queries(queries, truths)
     objective_fn = optimizer.SearchObjective(
         corpus, queries, truths, config.weights, symbols.commutative, _table(config)
     )
@@ -252,7 +227,6 @@ def cmd_xval(args: argparse.Namespace) -> int:
     corpus = load_corpus(config.corpus_dir, symbols)
     queries = load_queries(config.queries_dir)
     truths = evaluation.read_ground_truth_csv(config.truth_file)
-    _matched_queries(queries, truths)
     split_seed = args.seed if args.seed is not None else config.split_seed
     report = optimizer.cross_validate(
         corpus, queries, truths, space, config.weights, split_seed,
@@ -289,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--hitlists", default=None,
                         help="evaluate this external hit-list CSV instead of searching")
-    # Serial by default: one pass over the queries shares its subtree scores,
-    # and a process pool measured no faster on the bundled corpus.
-    p_eval.add_argument("--jobs", type=int, default=1)
     p_eval.set_defaults(handler=cmd_evaluate)
 
     p_opt = sub.add_parser("optimize", help="tune parameters for every decay model")

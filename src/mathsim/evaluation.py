@@ -11,6 +11,7 @@ from seeded Monte Carlo permutation sampling and can be cached to disk.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -50,6 +51,26 @@ class GroundTruth:
             )
         if len(set(self.ranked_ids)) != len(self.ranked_ids):
             raise ValueError(f"ground truth for {self.query_id!r} repeats a document id")
+
+
+def truth_sizes(query_ids: Iterable[str], truths: Iterable[GroundTruth]) -> dict[str, int]:
+    """Hit-list size of each query, in query order: the length of its ground truth.
+
+    Queries and truths must pair up one to one; otherwise one error names
+    every query without a truth and every truth without a query.
+    """
+    query_ids = list(query_ids)
+    sizes = {t.query_id: len(t.ranked_ids) for t in truths}
+    problems = []
+    missing_truth = sorted(set(query_ids) - sizes.keys())
+    if missing_truth:
+        problems.append(f"queries without ground truth: {', '.join(missing_truth)}")
+    missing_query = sorted(sizes.keys() - set(query_ids))
+    if missing_query:
+        problems.append(f"ground truth without queries: {', '.join(missing_query)}")
+    if problems:
+        raise ValueError("; ".join(problems))
+    return {query_id: sizes[query_id] for query_id in query_ids}
 
 
 @dataclass(frozen=True)
@@ -264,11 +285,6 @@ def default_critical_values() -> CriticalValueTable:
     return _default_table
 
 
-def critical_value(statistic: str, n: int, level: int) -> float:
-    """Module-level convenience over a shared default-seed table."""
-    return default_critical_values().critical_value(statistic, n, level)
-
-
 def evaluate(
     hitlists: Sequence[HitList],
     truths: Iterable[GroundTruth],
@@ -349,15 +365,18 @@ def _cell(value) -> str:
     return str(value)
 
 
+def csv_text(rows: Iterable[Sequence[str]]) -> str:
+    """Rows as CSV text with ``\n`` line ends, quoting only cells that need it."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
 def report_to_csv_text(report: EvalReport) -> str:
-    lines = [",".join(_REPORT_COLUMNS)]
-    for row in report.queries:
-        lines.append(",".join(_cell(getattr(row, col)) for col in _REPORT_COLUMNS))
-    avg = report.averages
-    lines.append(
-        "AVERAGE," + ",".join(_cell(getattr(avg, col)) for col in _REPORT_COLUMNS[1:])
-    )
-    return "\n".join(lines) + "\n"
+    rows = [_REPORT_COLUMNS]
+    rows += [[_cell(getattr(row, col)) for col in _REPORT_COLUMNS] for row in report.queries]
+    rows.append(["AVERAGE"] + [_cell(getattr(report.averages, col)) for col in _REPORT_COLUMNS[1:]])
+    return csv_text(rows)
 
 
 def write_report_csv(report: EvalReport, path: str | Path) -> None:

@@ -139,16 +139,12 @@ class MetricParams:
     def __post_init__(self) -> None:
         for name in _FIELD_RANGES:
             validate_field(name, getattr(self, name))
-        if self.decay_model not in DECAY_KINDS:
-            raise ValueError(
-                f"unknown decay model {self.decay_model!r}, expected one of {DECAY_KINDS}"
-            )
         if not (self.w_eq >= self.w_ineq >= self.w_expr):
             raise ValueError(
                 f"class weights must satisfy w_eq >= w_ineq >= w_expr, "
                 f"got {self.w_eq}, {self.w_ineq}, {self.w_expr}"
             )
-        # Constructing the models validates the rates against the shape.
+        # Constructing the models validates the shape, and the rates against it.
         self.dp_model()
         self.cp_model()
 

@@ -24,7 +24,9 @@ from .evaluation import (
     CriticalValueTable,
     EvalReport,
     GroundTruth,
+    csv_text,
     evaluate,
+    truth_sizes,
 )
 from .metric import DECAY_KINDS, DEFAULT_COMMUTATIVE, DEFAULT_PARAMS, MetricParams, validate_field
 from .search import DocumentRecord, Query, batch_search
@@ -185,6 +187,8 @@ def objective(report: EvalReport, weights: ObjectiveWeights) -> float:
 class SearchObjective:
     """Objective of one parameter set: run all queries, evaluate, scalarise.
 
+    Every query needs a ground truth and every ground truth a query; the
+    pairing is checked once, at construction (:func:`truth_sizes`).
     ``observer``, when set, receives the tuple of query ids on every
     evaluation; the cross-validation harness uses it to prove that held-out
     queries never feed a training decision.
@@ -197,18 +201,16 @@ class SearchObjective:
     commutative: frozenset[tuple[str, str]] = DEFAULT_COMMUTATIVE
     table: CriticalValueTable | None = None
     observer: Callable[[tuple[str, ...]], None] | None = None
+    sizes: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        truth_ids = {t.query_id for t in self.truths}
-        missing = sorted(q.query_id for q in self.queries if q.query_id not in truth_ids)
-        if missing:
-            raise ValueError(f"queries without ground truth: {', '.join(missing)}")
+        sizes = truth_sizes((q.query_id for q in self.queries), self.truths)
+        object.__setattr__(self, "sizes", sizes)
 
     def __call__(self, params: MetricParams) -> tuple[float, AverageRow]:
         if self.observer is not None:
             self.observer(tuple(q.query_id for q in self.queries))
-        sizes = {t.query_id: len(t.ranked_ids) for t in self.truths}
-        hitlists = batch_search(self.queries, self.corpus, params, sizes, self.commutative)
+        hitlists = batch_search(self.queries, self.corpus, params, self.sizes, self.commutative)
         report = evaluate(hitlists, self.truths, self.table)
         return objective(report, self.weights), report.averages
 
@@ -342,15 +344,14 @@ def optimize_model(
     seed_params: MetricParams,
     objective_fn: ObjectiveFn,
     max_generations: int = DEFAULT_GENERATION_CAP,
-    tol: float = DEFAULT_TOLERANCE,
     pool=None,
 ) -> OptimizationRun:
     """Evolve one decay model until a generation stops improving.
 
     Generation 0 records the seed evaluation.  From the second real
-    generation on, an improvement of at most ``tol`` over the previous
-    generation stops the evolution with ``converged=True``; hitting the cap
-    instead leaves ``converged=False`` and emits a warning.
+    generation on, an improvement of at most ``DEFAULT_TOLERANCE`` over the
+    previous generation stops the evolution with ``converged=True``; hitting
+    the cap instead leaves ``converged=False`` and emits a warning.
     """
     params = seed_params.with_value("decay_model", model)
     obj, avgs = objective_fn(params)
@@ -359,7 +360,7 @@ def optimize_model(
     for gen in range(1, max_generations + 1):
         params, obj, avgs, sweeps = run_generation(params, space, objective_fn, (obj, avgs), pool)
         generations.append(GenerationRecord(gen, params, obj, avgs, sweeps))
-        if gen >= 2 and obj - generations[-2].objective <= tol:
+        if gen >= 2 and obj - generations[-2].objective <= DEFAULT_TOLERANCE:
             converged = True
             break
     if not converged:
@@ -381,7 +382,6 @@ def optimize_all(
     seed_params: MetricParams,
     objective_fn: ObjectiveFn,
     max_generations: int = DEFAULT_GENERATION_CAP,
-    tol: float = DEFAULT_TOLERANCE,
     pool=None,
 ) -> OptimizeAllResult:
     """Optimize every decay model and pick the winner (ties: earliest in order)."""
@@ -389,7 +389,7 @@ def optimize_all(
     best_model = None
     best_obj = -math.inf
     for kind in DECAY_KINDS:
-        run = optimize_model(kind, space, seed_params, objective_fn, max_generations, tol, pool)
+        run = optimize_model(kind, space, seed_params, objective_fn, max_generations, pool=pool)
         runs[kind] = run
         if run.final_objective > best_obj:
             best_model = kind
@@ -412,7 +412,6 @@ class XValReport:
     rows: tuple[XValRow, ...]
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
-    runs: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _notify(observer, phase: str, model: str, query_ids: tuple[str, ...]) -> None:
@@ -431,7 +430,6 @@ def cross_validate(
     commutative: frozenset[tuple[str, str]] = DEFAULT_COMMUTATIVE,
     table: CriticalValueTable | None = None,
     max_generations: int = DEFAULT_GENERATION_CAP,
-    tol: float = DEFAULT_TOLERANCE,
     observer: Callable[[str, str, tuple[str, ...]], None] | None = None,
 ) -> XValReport:
     """Optimize per model both on all queries and on a seeded half-split.
@@ -454,13 +452,12 @@ def cross_validate(
     test_queries = [q for q in queries if q.query_id not in train_set]
     truth_by_id = {t.query_id: t for t in truths}
     rows = []
-    runs = {}
     for kind in DECAY_KINDS:
         full_obj = SearchObjective(
             corpus, queries, truths, weights, commutative, table,
             observer=partial(_notify, observer, "full", kind),
         )
-        run_full = optimize_model(kind, space, seed_params, full_obj, max_generations, tol)
+        run_full = optimize_model(kind, space, seed_params, full_obj, max_generations)
         avg_full = run_full.final.averages
         rows.append(
             XValRow(kind, "without_cv", avg_full.overall_recall, avg_full.top10_recall,
@@ -471,7 +468,7 @@ def cross_validate(
             weights, commutative, table,
             observer=partial(_notify, observer, "train", kind),
         )
-        run_train = optimize_model(kind, space, seed_params, train_obj, max_generations, tol)
+        run_train = optimize_model(kind, space, seed_params, train_obj, max_generations)
         test_obj = SearchObjective(
             corpus, test_queries, [truth_by_id[q.query_id] for q in test_queries],
             weights, commutative, table,
@@ -482,13 +479,7 @@ def cross_validate(
             XValRow(kind, "with_cv", avg_test.overall_recall, avg_test.top10_recall,
                     avg_test.rho, avg_test.tau)
         )
-        runs[kind] = {"without_cv": run_full, "with_cv": run_train}
-    return XValReport(
-        tuple(rows),
-        tuple(sorted(train_set)),
-        tuple(sorted(set(ids) - train_set)),
-        runs,
-    )
+    return XValReport(tuple(rows), tuple(sorted(train_set)), tuple(sorted(set(ids) - train_set)))
 
 
 _XVAL_COLUMNS = (
@@ -502,15 +493,12 @@ _XVAL_COLUMNS = (
 
 
 def xval_to_csv_text(report: XValReport) -> str:
-    lines = [",".join(_XVAL_COLUMNS)]
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                [row.model, row.protocol]
-                + [repr(v) for v in (row.overall_recall, row.top10_recall, row.rho, row.tau)]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = [
+        [row.model, row.protocol]
+        + [repr(v) for v in (row.overall_recall, row.top10_recall, row.rho, row.tau)]
+        for row in report.rows
+    ]
+    return csv_text([_XVAL_COLUMNS, *rows])
 
 
 def write_xval_csv(report: XValReport, path: str | Path) -> None:

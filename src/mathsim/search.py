@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -197,31 +196,20 @@ def search(
     return _ranked(query_id, corpus, _scores([query], corpus, params, commutative)[0], n)
 
 
-def _search_task(args) -> HitList:
-    query, corpus, params, n, commutative = args
-    return search(query.tree, corpus, params, n, commutative, query_id=query.query_id)
-
-
 def batch_search(
     queries: Sequence[Query],
     corpus: Sequence[DocumentRecord],
     params: MetricParams,
     n_per_query: Mapping[str, int],
     commutative: frozenset[tuple[str, str]] = DEFAULT_COMMUTATIVE,
-    jobs: int = 1,
 ) -> list[HitList]:
     """One hit list per query; every query id must have an entry in ``n_per_query``.
 
-    Run serially, all queries are scored in one pass, so subtrees they share
-    are scored once; with ``jobs > 1`` each query is a pool task.
+    All queries are scored in one pass, so subtrees they share are scored once.
     """
     missing = [q.query_id for q in queries if q.query_id not in n_per_query]
     if missing:
         raise ValueError(f"no hit-list size configured for queries: {', '.join(sorted(missing))}")
-    tasks = [(q, corpus, params, n_per_query[q.query_id], commutative) for q in queries]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_search_task, tasks))
     for q in queries:
         _check_search(corpus, n_per_query[q.query_id])
     if not queries:

@@ -102,7 +102,7 @@ class TestSearchCommand:
 class TestEvaluateCommand:
     def test_internal_evaluation(self, tmp_path, capsys):
         config = write_config(tmp_path)
-        assert main(["evaluate", "--config", str(config), "--jobs", "1"]) == EXIT_OK
+        assert main(["evaluate", "--config", str(config)]) == EXIT_OK
         report = (tmp_path / "out" / "report.csv").read_text().strip().splitlines()
         assert len(report) == 13  # header + 11 queries + average
         assert report[-1].startswith("AVERAGE,")
@@ -110,14 +110,14 @@ class TestEvaluateCommand:
 
     def test_deterministic_reports(self, tmp_path):
         config = write_config(tmp_path)
-        main(["evaluate", "--config", str(config), "--jobs", "1"])
+        main(["evaluate", "--config", str(config)])
         first = (tmp_path / "out" / "report.csv").read_bytes()
-        main(["evaluate", "--config", str(config), "--jobs", "1"])
+        main(["evaluate", "--config", str(config)])
         assert (tmp_path / "out" / "report.csv").read_bytes() == first
 
     def test_external_hitlists_path(self, tmp_path):
         config = write_config(tmp_path)
-        main(["evaluate", "--config", str(config), "--jobs", "1"])
+        main(["evaluate", "--config", str(config)])
         external = tmp_path / "out" / "hitlists.csv"
         assert external.exists()
         code = main(["evaluate", "--config", str(config), "--hitlists", str(external)])
@@ -165,8 +165,18 @@ class TestEvaluateCommand:
         kept = [line for line in lines if not line.startswith("q_newton,")]
         truncated.write_text("\n".join(kept) + "\n")
         config = write_config(tmp_path, truth_file=str(truncated))
-        assert main(["evaluate", "--config", str(config), "--jobs", "1"]) == EXIT_DATA
+        assert main(["evaluate", "--config", str(config)]) == EXIT_DATA
         assert "q_newton" in capsys.readouterr().err
+
+    def test_hitlist_without_truth_is_data_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        external = tmp_path / "hits.csv"
+        external.write_text(
+            "query_id,rank,doc_id,score\nq_newton,1,newton,0.9\nq_unknown,1,newton,0.9\n"
+        )
+        code = main(["evaluate", "--config", str(config), "--hitlists", str(external)])
+        assert code == EXIT_DATA
+        assert "q_unknown" in capsys.readouterr().err
 
 
 class TestOptimizeCommand:
@@ -179,6 +189,17 @@ class TestOptimizeCommand:
         summary = json.loads((out / "optimize_summary.json").read_text())
         assert summary["best_model"] in ("exponential", "linear", "quadratic", "logarithmic")
         assert (out / "best_params.json").exists()
+
+    def test_query_without_truth_is_data_error(self, tmp_path, capsys):
+        truncated = tmp_path / "truth.csv"
+        lines = (ASSETS / "truth.csv").read_text().strip().splitlines()
+        kept = [line for line in lines if not line.startswith("q_newton,")]
+        truncated.write_text("\n".join(kept) + "\n")
+        config = write_config(tmp_path, truth_file=str(truncated))
+        assert main(["optimize", "--config", str(config), "--jobs", "1"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "queries without ground truth: q_newton" in err
+        assert not (tmp_path / "out" / "optimize_summary.json").exists()
 
 
 class TestXvalCommand:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -13,6 +15,7 @@ from mathsim.evaluation import (
     report_to_csv_text,
     spearman_rho,
     top10_recall,
+    truth_sizes,
     write_report_csv,
     write_report_json,
 )
@@ -66,6 +69,21 @@ class TestGroundTruth:
         path.write_text("q1,1,a\n")
         with pytest.raises(ValueError, match="header"):
             read_ground_truth_csv(path)
+
+
+class TestTruthSizes:
+    def test_sizes_in_query_order(self):
+        truths = [truth_of("a", "b", query_id="q1"), truth_of("a", "b", "c", query_id="q2")]
+        sizes = truth_sizes(["q2", "q1"], truths)
+        assert list(sizes.items()) == [("q2", 3), ("q1", 2)]
+
+    def test_every_mismatch_named_in_one_error(self):
+        truths = [truth_of("a", "b", query_id=q) for q in ("q1", "t2", "t1")]
+        with pytest.raises(ValueError) as info:
+            truth_sizes(["q1", "q3", "q2"], truths)
+        assert str(info.value) == (
+            "queries without ground truth: q2, q3; ground truth without queries: t1, t2"
+        )
 
 
 class TestRecall:
@@ -281,6 +299,15 @@ class TestEvaluate:
         assert lines[0].startswith("query_id,overall_recall,top10_recall,rho,tau,rho_sig_95")
         assert len(lines) == 3
         assert lines[-1].startswith("AVERAGE,")
+
+    def test_csv_quotes_awkward_query_id(self, mc_table):
+        awkward = 'dir/a,b"c'
+        report = evaluate(
+            [hits_of("a", "b", query_id=awkward)], [truth_of("a", "b", query_id=awkward)], mc_table
+        )
+        rows = list(csv.reader(io.StringIO(report_to_csv_text(report))))
+        assert [row[0] for row in rows] == ["query_id", awkward, "AVERAGE"]
+        assert {len(row) for row in rows} == {9}
 
     def test_json_written(self, mc_table, tmp_path):
         report = evaluate([hits_of("a", "b", "c", "d")], [truth_of("a", "b", "c", "d")], mc_table)

@@ -109,6 +109,10 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="w_eq"):
             make_params(w_eq=1.0, w_ineq=1.2, w_expr=1.0)
 
+    def test_unknown_decay_model_rejected(self):
+        with pytest.raises(ValueError, match="unknown decay model 'cubic'"):
+            make_params(decay_model="cubic")
+
     def test_exponential_rate_must_be_base(self):
         with pytest.raises(ValueError):
             make_params(decay_model="exponential", dp_rate=1.5)

@@ -363,6 +363,18 @@ def tiny_world(n_queries=6):
     return corpus, queries, truths, space
 
 
+class TestSearchObjectivePairing:
+    def test_mismatch_named_in_both_directions(self):
+        corpus, queries, truths, _ = tiny_world(n_queries=3)
+        # q02 loses its truth, and a truth arrives for a query that is not there
+        truths = truths[:2] + [GroundTruth("q_orphan", ("d_plus", "d_leaf"))]
+        with pytest.raises(ValueError) as info:
+            SearchObjective(corpus, queries, truths, ObjectiveWeights())
+        assert str(info.value) == (
+            "queries without ground truth: q02; ground truth without queries: q_orphan"
+        )
+
+
 class TestCrossValidate:
     def test_split_disjoint_and_exhaustive(self):
         corpus, queries, truths, space = tiny_world()
@@ -435,13 +447,3 @@ class TestParallelPaths:
         with ProcessPoolExecutor(max_workers=2) as pool:
             pooled = optimize_model("linear", space, seed, fn, pool=pool)
         assert pooled.to_dict() == serial.to_dict()
-
-    def test_parallel_batch_search_matches_serial(self, bundled_corpus, bundled_params,
-                                                  bundled_queries):
-        from mathsim.search import batch_search
-
-        queries = bundled_queries[:4]
-        sizes = {q.query_id: 5 for q in queries}
-        serial = batch_search(queries, bundled_corpus, bundled_params, sizes, jobs=1)
-        parallel = batch_search(queries, bundled_corpus, bundled_params, sizes, jobs=2)
-        assert serial == parallel

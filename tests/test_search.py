@@ -1,5 +1,6 @@
-import importlib
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -214,11 +215,16 @@ def test_non_finite_csv_score_names_file(tmp_path):
 
 
 def test_traced_names_stay_bound():
-    # The benchmark's traced run wraps these names in the search module's
-    # globals, where search() and load_corpus() look them up.
-    module = importlib.import_module("mathsim.search")
-    for name in ("score_document", "parse_expression", "load_corpus", "search", "read_hitlists_csv"):
-        assert callable(vars(module)[name]), name
+    # The benchmark's traced run wraps each entry of TRACE_POINTS in
+    # bench/spans.py at the name its caller looks it up by (a module global
+    # or a class attribute); a refactor that unbinds one must fail here.
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACE_POINTS
+    for owner, attr, _ in spans.TRACE_POINTS:
+        assert callable(vars(owner).get(attr)), f"{owner.__name__}.{attr}"
 
 
 def test_scores_are_python_floats(bundled_corpus, bundled_queries, bundled_params, bundled_symbols):
