@@ -39,7 +39,6 @@ from .search import (
     batch_search,
     load_corpus,
     load_queries,
-    search,
 )
 from .evaluation import (
     CriticalValueTable,

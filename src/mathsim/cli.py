@@ -166,6 +166,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     truths = evaluation.read_ground_truth_csv(config.truth_file)
     if args.hitlists is not None:
         hitlists = read_hitlists_csv(args.hitlists)
+        evaluation.truth_sizes((h.query_id for h in hitlists), truths)
     else:
         params, symbols = _load_params(config)
         corpus = load_corpus(config.corpus_dir, symbols)

@@ -26,6 +26,7 @@ grid passes it for arities below 44.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -144,6 +145,24 @@ class NodeTable:
             np.where(self.args == self.size, self.heads[:, None], self.args)
         )
 
+    @cached_property
+    def ancestors(self) -> list[list[tuple[int, int]]]:
+        """Per position, each (depth, ancestor) it sits below, itself at depth 0.
+
+        There is one entry for every distinct pair, so a chain of depth ``D``
+        has about ``D * D / 2`` of them; ``MAX_DEPTH`` bounds parsed queries.
+        """
+        below: list[set[tuple[int, int]]] = [{(pos, 0)} for pos in range(self.leaves)]
+        for a, head in enumerate(self.heads.tolist()):
+            children = [head, *self.args[a, : self.arity[a]].tolist()]
+            below.append({(self.leaves + a, 0)}
+                         | {(s, j + 1) for c in children for s, j in below[c]})
+        ancestors: list[list[tuple[int, int]]] = [[] for _ in below]
+        for u, found in enumerate(below):
+            for s, j in found:
+                ancestors[s].append((j, u))
+        return ancestors
+
     def symbol_heads(self, symbols: frozenset[tuple[str, str]]) -> tuple[np.ndarray, np.ndarray]:
         """Per application: is its head a symbol, and is that symbol in ``symbols``."""
         is_symbol = self.heads < self.leaves
@@ -163,23 +182,6 @@ def prunes_exactly(omega: float, queries: NodeTable) -> bool:
         omega / (p + omega) + 1.0 / (p + omega) * p <= 1.0
         for p in set(queries.arity.tolist())
     )
-
-
-def _ancestors(queries: NodeTable) -> list[list[tuple[int, int]]]:
-    """Per query position, each (depth, ancestor) it sits below, itself at depth 0.
-
-    There is one entry for every distinct pair, so a chain of depth ``D``
-    has about ``D * D / 2`` of them; ``MAX_DEPTH`` bounds parsed queries.
-    """
-    below: list[set[tuple[int, int]]] = [{(pos, 0)} for pos in range(queries.leaves)]
-    for a, head in enumerate(queries.heads.tolist()):
-        children = [head, *queries.args[a, : queries.arity[a]].tolist()]
-        below.append({(queries.leaves + a, 0)} | {(s, j + 1) for c in children for s, j in below[c]})
-    ancestors: list[list[tuple[int, int]]] = [[] for _ in below]
-    for u, found in enumerate(below):
-        for s, j in found:
-            ancestors[s].append((j, u))
-    return ancestors
 
 
 def _leaf_rows(docs: NodeTable, queries: NodeTable, rows: range, params: MetricParams) -> np.ndarray:
@@ -248,7 +250,7 @@ def _aligned_rows(sim: np.ndarray, docs: NodeTable, queries: NodeTable, apps: sl
 
 def _raise_ancestors(
     sim: np.ndarray, docs: NodeTable, queries: NodeTable, rows: range,
-    params: MetricParams, bounds: np.ndarray, ancestors, symbols,
+    params: MetricParams, bounds: np.ndarray, symbols,
 ) -> None:
     """Raise the ``sim`` rows of every query subtree above ``rows`` by their alignments.
 
@@ -265,7 +267,7 @@ def _raise_ancestors(
     else:
         apps = slice(rows.start - queries.leaves, rows.stop - queries.leaves)
         reach[:, docs.leaves :] = _aligned_rows(sim, docs, queries, apps, params.omega, *symbols)
-    pairs = sorted((u, j, s - rows.start) for s in rows for j, u in ancestors[s])
+    pairs = sorted((u, j, s - rows.start) for s in rows for j, u in queries.ancestors[s])
     levels = sorted({j for _, j, _ in pairs})
     scale = bounds[levels][:, :, None, None]
     at_depth = scale[:, 0] * reach
@@ -305,7 +307,6 @@ def similarities(
     cp = [decay(params.cp_model(), j, params.epsilon) for j in range(heights)]
     dp = [decay(params.dp_model(), k, params.epsilon) for k in range(len(docs.level_start) - 1)]
     bounds = np.multiply.outer(cp, dp)
-    ancestors = _ancestors(queries)
     symbols = (docs.symbol_heads(commutative), queries.symbol_heads(commutative))
     # A row holds the best candidate so far until its height is done, then
     # the final score.  One padding row and column, both 0, stand for
@@ -320,6 +321,6 @@ def similarities(
         # height only need lower ones, so the block splits freely.
         for first in range(lo, hi, step):
             rows = range(first, min(first + step, hi))
-            _raise_ancestors(sim, docs, queries, rows, params, bounds, ancestors, symbols)
+            _raise_ancestors(sim, docs, queries, rows, params, bounds, symbols)
         np.minimum(sim[lo:hi, :n], 1.0, out=sim[lo:hi, :n])
     return sim[: queries.size, :n]

@@ -14,7 +14,7 @@ import json
 import math
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -29,7 +29,7 @@ from .evaluation import (
     truth_sizes,
 )
 from .metric import DECAY_KINDS, DEFAULT_COMMUTATIVE, DEFAULT_PARAMS, MetricParams, validate_field
-from .search import DocumentRecord, Query, batch_search
+from .search import Corpus, DocumentRecord, Query, batch_search
 
 ObjectiveFn = Callable[[MetricParams], tuple[float, AverageRow]]
 
@@ -77,15 +77,6 @@ class ParamSpace:
 
     def trial_values(self, name: str) -> tuple[float, ...]:
         return self.ranges[name].values()
-
-    def to_dict(self) -> dict:
-        return {
-            "order": list(self.order),
-            "ranges": {
-                name: {"min": r.min, "max": r.max, "step": r.step}
-                for name, r in self.ranges.items()
-            },
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParamSpace":
@@ -161,14 +152,6 @@ class ObjectiveWeights:
     def from_dict(cls, data: Mapping[str, float]) -> "ObjectiveWeights":
         return cls(**dict(data))
 
-    def to_dict(self) -> dict:
-        return {
-            "overall_recall": self.overall_recall,
-            "top10_recall": self.top10_recall,
-            "rho": self.rho,
-            "tau": self.tau,
-        }
-
 
 def objective(report: EvalReport, weights: ObjectiveWeights) -> float:
     """Scalar score in [0, 1]: weighted mean of recalls and rescaled correlations."""
@@ -189,9 +172,9 @@ class SearchObjective:
 
     Every query needs a ground truth and every ground truth a query; the
     pairing is checked once, at construction (:func:`truth_sizes`).
-    ``observer``, when set, receives the tuple of query ids on every
-    evaluation; the cross-validation harness uses it to prove that held-out
-    queries never feed a training decision.
+    ``observer``, when set, receives the parameter set and the tuple of query
+    ids on every evaluation; the cross-validation harness uses it to prove
+    that held-out queries never feed a training decision.
     """
 
     corpus: Sequence[DocumentRecord]
@@ -200,7 +183,7 @@ class SearchObjective:
     weights: ObjectiveWeights
     commutative: frozenset[tuple[str, str]] = DEFAULT_COMMUTATIVE
     table: CriticalValueTable | None = None
-    observer: Callable[[tuple[str, ...]], None] | None = None
+    observer: Callable[[MetricParams, tuple[str, ...]], None] | None = None
     sizes: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -209,7 +192,7 @@ class SearchObjective:
 
     def __call__(self, params: MetricParams) -> tuple[float, AverageRow]:
         if self.observer is not None:
-            self.observer(tuple(q.query_id for q in self.queries))
+            self.observer(params, tuple(q.query_id for q in self.queries))
         hitlists = batch_search(self.queries, self.corpus, params, self.sizes, self.commutative)
         report = evaluate(hitlists, self.truths, self.table)
         return objective(report, self.weights), report.averages
@@ -414,9 +397,9 @@ class XValReport:
     test_ids: tuple[str, ...]
 
 
-def _notify(observer, phase: str, model: str, query_ids: tuple[str, ...]) -> None:
+def _notify(observer, phase: str, params: MetricParams, query_ids: tuple[str, ...]) -> None:
     if observer is not None:
-        observer(phase, model, query_ids)
+        observer(phase, params.decay_model, query_ids)
 
 
 def cross_validate(
@@ -437,6 +420,8 @@ def cross_validate(
     The ``without_cv`` rows are trained and evaluated on the full query set;
     the ``with_cv`` rows are trained on the training half and evaluated on
     the held-out half (an odd query gives the training side the extra one).
+    ``observer`` receives ``(phase, decay model, query ids)`` on every
+    evaluation, with phase ``full``, ``train`` or ``test``.
     """
     if len(queries) < 2:
         raise ValueError("cross-validation needs at least 2 queries")
@@ -448,38 +433,31 @@ def cross_validate(
     rng.shuffle(shuffled)
     n_train = (len(shuffled) + 1) // 2
     train_set = set(shuffled[:n_train])
-    train_queries = [q for q in queries if q.query_id in train_set]
-    test_queries = [q for q in queries if q.query_id not in train_set]
-    truth_by_id = {t.query_id: t for t in truths}
+    test_set = set(ids) - train_set
+
+    def objective_on(phase: str, kept: set[str]) -> SearchObjective:
+        return SearchObjective(
+            corpus,
+            Corpus(q for q in queries if q.query_id in kept),
+            [t for t in truths if t.query_id in kept],
+            weights, commutative, table, observer=partial(_notify, observer, phase),
+        )
+
+    # The full set keeps every truth, so its pairing check sees them all.
+    full_obj = objective_on("full", {*ids, *(t.query_id for t in truths)})
+    train_obj = objective_on("train", train_set)
+    test_obj = objective_on("test", test_set)
+    full = optimize_all(space, seed_params, full_obj, max_generations)
+    train = optimize_all(space, seed_params, train_obj, max_generations)
+
+    def row(kind: str, protocol: str, avg: AverageRow) -> XValRow:
+        return XValRow(kind, protocol, avg.overall_recall, avg.top10_recall, avg.rho, avg.tau)
+
     rows = []
     for kind in DECAY_KINDS:
-        full_obj = SearchObjective(
-            corpus, queries, truths, weights, commutative, table,
-            observer=partial(_notify, observer, "full", kind),
-        )
-        run_full = optimize_model(kind, space, seed_params, full_obj, max_generations)
-        avg_full = run_full.final.averages
-        rows.append(
-            XValRow(kind, "without_cv", avg_full.overall_recall, avg_full.top10_recall,
-                    avg_full.rho, avg_full.tau)
-        )
-        train_obj = SearchObjective(
-            corpus, train_queries, [truth_by_id[q.query_id] for q in train_queries],
-            weights, commutative, table,
-            observer=partial(_notify, observer, "train", kind),
-        )
-        run_train = optimize_model(kind, space, seed_params, train_obj, max_generations)
-        test_obj = SearchObjective(
-            corpus, test_queries, [truth_by_id[q.query_id] for q in test_queries],
-            weights, commutative, table,
-            observer=partial(_notify, observer, "test", kind),
-        )
-        _, avg_test = test_obj(run_train.final_params)
-        rows.append(
-            XValRow(kind, "with_cv", avg_test.overall_recall, avg_test.top10_recall,
-                    avg_test.rho, avg_test.tau)
-        )
-    return XValReport(tuple(rows), tuple(sorted(train_set)), tuple(sorted(set(ids) - train_set)))
+        rows.append(row(kind, "without_cv", full.runs[kind].final.averages))
+        rows.append(row(kind, "with_cv", test_obj(train.runs[kind].final_params)[1]))
+    return XValReport(tuple(rows), tuple(sorted(train_set)), tuple(sorted(test_set)))
 
 
 _XVAL_COLUMNS = (
@@ -509,16 +487,6 @@ def write_xval_json(report: XValReport, path: str | Path) -> None:
     payload = {
         "train_queries": list(report.train_ids),
         "test_queries": list(report.test_ids),
-        "rows": [
-            {
-                "model": r.model,
-                "protocol": r.protocol,
-                "ave_overall_recall": r.overall_recall,
-                "ave_top10_recall": r.top10_recall,
-                "ave_rho_correlation": r.rho,
-                "ave_tau_correlation": r.tau,
-            }
-            for r in report.rows
-        ],
+        "rows": [dict(zip(_XVAL_COLUMNS, astuple(r))) for r in report.rows],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -70,11 +70,11 @@ class HitList:
 
 
 class Corpus(tuple):
-    """The documents of one load, in id order, with their compiled node table.
+    """The records of one load, in id order, with their compiled node table.
 
-    The table is built on the first search and kept with the corpus, so a
+    The table is built on the first search and kept with the records, so a
     load pays for it at most once.  Searches also accept a plain sequence of
-    documents, compiled afresh on every call.
+    records, compiled afresh on every call.
     """
 
     @cached_property
@@ -137,30 +137,34 @@ def load_corpus(directory: str | Path, symbols: SymbolConfig = SymbolConfig()) -
     )
 
 
-def load_queries(directory: str | Path) -> list[Query]:
+def load_queries(directory: str | Path) -> Corpus:
     """Parse every query expression file under ``directory``."""
-    return [
+    return Corpus(
         Query(query_id, tree)
         for query_id, _, tree in _parse_all(_discover(directory), "query set")
-    ]
+    )
+
+
+def _table(records: Sequence) -> NodeTable:
+    return records.table if isinstance(records, Corpus) else NodeTable([r.tree for r in records])
 
 
 def _scores(
-    queries: Sequence[ExprTree],
+    queries: Sequence[Query],
     corpus: Sequence[DocumentRecord],
     params: MetricParams,
     commutative: frozenset[tuple[str, str]],
 ) -> list[list[float]]:
     """``score_document`` of every query against every document, as floats."""
-    compiled = NodeTable(queries)
+    compiled = _table(queries)
     if not prunes_exactly(params.omega, compiled):
         # An aligned score above 1 makes the reference's pruning part of the
         # result, so only the reference itself gives it.
         return [
-            [score_document(q, d.tree, d.formula_class, params, commutative) for d in corpus]
+            [score_document(q.tree, d.tree, d.formula_class, params, commutative) for d in corpus]
             for q in queries
         ]
-    docs = corpus.table if isinstance(corpus, Corpus) else NodeTable([d.tree for d in corpus])
+    docs = _table(corpus)
     sims = similarities(docs, compiled, params, commutative)[np.ix_(compiled.roots, docs.roots)]
     weights = np.array([params.weight_for(d.formula_class) for d in corpus])
     return (sims * weights).tolist()
@@ -193,7 +197,8 @@ def search(
     :func:`score_document`, computed for all documents at once.
     """
     _check_search(corpus, n)
-    return _ranked(query_id, corpus, _scores([query], corpus, params, commutative)[0], n)
+    scores = _scores([Query(query_id, query)], corpus, params, commutative)[0]
+    return _ranked(query_id, corpus, scores, n)
 
 
 def batch_search(
@@ -214,7 +219,7 @@ def batch_search(
         _check_search(corpus, n_per_query[q.query_id])
     if not queries:
         return []
-    scores = _scores([q.tree for q in queries], corpus, params, commutative)
+    scores = _scores(queries, corpus, params, commutative)
     return [
         _ranked(q.query_id, corpus, row, n_per_query[q.query_id])
         for q, row in zip(queries, scores)

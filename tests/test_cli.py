@@ -178,6 +178,19 @@ class TestEvaluateCommand:
         assert code == EXIT_DATA
         assert "q_unknown" in capsys.readouterr().err
 
+    def test_truth_without_hitlist_is_data_error(self, tmp_path, capsys):
+        # Every truth needs a hit list, or AVERAGE would cover only some queries.
+        config = write_config(tmp_path)
+        external = tmp_path / "hits.csv"
+        external.write_text(
+            "query_id,rank,doc_id,score\nq_newton,1,newton,0.9\nq_newton,2,coulomb,0.5\n"
+        )
+        code = main(["evaluate", "--config", str(config), "--hitlists", str(external)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "ground truth without queries" in err and "q_gcd_lcm" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
 
 class TestOptimizeCommand:
     def test_optimize_writes_runs_and_summary(self, tmp_path, capsys):

@@ -15,6 +15,7 @@ from mathsim.optimizer import (
     cross_validate,
     default_param_space,
     default_seed_params,
+    load_param_space,
     objective,
     optimize_all,
     optimize_model,
@@ -87,9 +88,11 @@ class TestParamSpace:
         with pytest.raises(ValueError, match="zeta"):
             ParamSpace(("zeta",), {})
 
-    def test_json_round_trip(self):
-        space = default_param_space()
-        assert ParamSpace.from_dict(space.to_dict()) == space
+    def test_bundled_space_file_loads(self, assets_dir):
+        # The path the CLI takes for `space_file`.
+        space = load_param_space(assets_dir / "space.json")
+        assert space.order == default_param_space().order
+        assert space.ranges["omega"] == GridRange(1.5, 5.0, 0.5)
 
     def test_seed_params_take_first_values(self):
         space = default_param_space()
@@ -375,7 +378,47 @@ class TestSearchObjectivePairing:
         )
 
 
+class TestSearchObjectiveObserver:
+    def test_observer_receives_params_and_query_ids(self):
+        corpus, queries, truths, _ = tiny_world(n_queries=2)
+        seen = []
+        fn = SearchObjective(corpus, queries, truths, ObjectiveWeights(),
+                             observer=lambda params, ids: seen.append((params, ids)))
+        params = make_params(decay_model="linear")
+        fn(params)
+        assert seen == [(params, ("q00", "q01"))]
+
+
 class TestCrossValidate:
+    def test_rows_match_optimize_all_on_each_query_set(self):
+        corpus, queries, truths, space = tiny_world()
+        weights = ObjectiveWeights()
+        report = cross_validate(corpus, queries, truths, space, weights, split_seed=3)
+        seed = default_seed_params(space)
+
+        def on(ids):
+            return SearchObjective(corpus, [q for q in queries if q.query_id in ids],
+                                   [t for t in truths if t.query_id in ids], weights)
+
+        full = optimize_all(space, seed, SearchObjective(corpus, queries, truths, weights))
+        train = optimize_all(space, seed, on(set(report.train_ids)))
+        test_fn = on(set(report.test_ids))
+        rows = {(r.model, r.protocol): (r.overall_recall, r.top10_recall, r.rho, r.tau)
+                for r in report.rows}
+        for kind in DECAY_KINDS:
+            avg = full.runs[kind].final.averages
+            assert rows[kind, "without_cv"] == (avg.overall_recall, avg.top10_recall,
+                                                avg.rho, avg.tau)
+            _, avg = test_fn(train.runs[kind].final_params)
+            assert rows[kind, "with_cv"] == (avg.overall_recall, avg.top10_recall,
+                                             avg.rho, avg.tau)
+
+    def test_truth_without_query_rejected(self):
+        corpus, queries, truths, space = tiny_world()
+        truths = truths + [GroundTruth("q_orphan", ("d_plus", "d_leaf"))]
+        with pytest.raises(ValueError, match="ground truth without queries: q_orphan"):
+            cross_validate(corpus, queries, truths, space, ObjectiveWeights(), split_seed=3)
+
     def test_split_disjoint_and_exhaustive(self):
         corpus, queries, truths, space = tiny_world()
         report = cross_validate(corpus, queries, truths, space, ObjectiveWeights(), split_seed=3)

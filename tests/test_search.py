@@ -227,6 +227,12 @@ def test_traced_names_stay_bound():
         assert callable(vars(owner).get(attr)), f"{owner.__name__}.{attr}"
 
 
+def test_package_does_not_hide_search_module():
+    import mathsim
+
+    assert mathsim.search is importlib.import_module("mathsim.search")
+
+
 def test_scores_are_python_floats(bundled_corpus, bundled_queries, bundled_params, bundled_symbols):
     # write_hitlists_csv writes repr(score), which must not read np.float64(...).
     sizes = {q.query_id: len(bundled_corpus) for q in bundled_queries}

@@ -286,3 +286,14 @@ def test_corpus_compiles_once_and_pickles(bundled_corpus, bundled_queries, bundl
     expected = search(query, list(bundled_corpus), bundled_params, 10)
     assert search(query, bundled_corpus, bundled_params, 10) == expected
     assert search(query, copy, bundled_params, 10) == expected
+
+
+def test_loaded_queries_compile_once(bundled_corpus, bundled_queries, bundled_params):
+    # A SearchObjective scores the same loaded queries on every call.
+    assert isinstance(bundled_queries, Corpus)
+    sizes = {q.query_id: 5 for q in bundled_queries}
+    expected = batch_search(list(bundled_queries), bundled_corpus, bundled_params, sizes)
+    assert batch_search(bundled_queries, bundled_corpus, bundled_params, sizes) == expected
+    table, ancestors = bundled_queries.table, bundled_queries.table.ancestors
+    assert batch_search(bundled_queries, bundled_corpus, bundled_params, sizes) == expected
+    assert bundled_queries.table is table and table.ancestors is ancestors
