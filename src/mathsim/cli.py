@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,7 +55,7 @@ def load_config(path: str | Path) -> RunConfig:
     config_path = Path(path)
     try:
         data = json.loads(config_path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
@@ -128,7 +129,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except mathml.MathMLParseError as exc:
+    except (mathml.MathMLParseError, UnicodeDecodeError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_DATA
     print("\n".join(_format_tree(tree)))
@@ -144,12 +145,11 @@ def cmd_search(args: argparse.Namespace) -> int:
     query_path = Path(args.query)
     try:
         query_tree = mathml.parse_expression(query_path.read_text(encoding="utf-8"))
-    except (OSError, mathml.MathMLParseError) as exc:
+    except (OSError, mathml.MathMLParseError, UnicodeDecodeError) as exc:
         print(f"error: query {query_path}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    n = args.n if args.n is not None else 10
     hitlist = search(
-        query_tree, corpus, params, n, symbols.commutative, query_id=query_path.stem
+        query_tree, corpus, params, args.n, symbols.commutative, query_id=query_path.stem
     )
     csv_path = config.output_dir / f"hits_{query_path.stem}.csv"
     json_path = config.output_dir / f"hits_{query_path.stem}.json"
@@ -191,12 +191,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     objective_fn = optimizer.SearchObjective(
         corpus, queries, truths, config.weights, symbols.commutative, _table(config)
     )
-    pool = ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
-    try:
+    # One worker per decay model, no more than there are cores.
+    workers = min(os.cpu_count() or 1, len(metric.DECAY_KINDS))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         result = optimizer.optimize_all(space, params, objective_fn, pool=pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
     summary = {
         "best_model": result.best_model,
         "best_params": result.best_params.to_dict(),
@@ -243,7 +241,17 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; the contract wants 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def _hit_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="rank the corpus against one query")
     p_search.add_argument("--config", required=True)
     p_search.add_argument("--query", required=True)
-    p_search.add_argument("--n", type=int, default=None)
+    p_search.add_argument("--n", type=_hit_count, default=10)
     p_search.set_defaults(handler=cmd_search)
 
     p_eval = sub.add_parser("evaluate", help="score hit lists against the ground truth")
@@ -268,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="tune parameters for every decay model")
     p_opt.add_argument("--config", required=True)
-    p_opt.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_opt.set_defaults(handler=cmd_optimize)
 
     p_xval = sub.add_parser("xval", help="cross-validated optimization report")

@@ -17,11 +17,8 @@ same floating-point operations on the same values:
   ``+0.0``;
 - greedy matching takes the query arguments in order and gives each the best
   unused document argument, the first one on ties.
-
-The reference's pruning skips only alignments that cannot beat the best so
-far, which holds while no aligned score exceeds 1.  :func:`prunes_exactly`
-checks that for the query arities at hand; every ``omega`` of the bundled
-grid passes it for arities below 44.
+- both paths clamp the aligned score to 1, so the reference's pruning skips
+  only alignments that cannot beat the best so far.
 """
 
 from __future__ import annotations
@@ -172,18 +169,6 @@ class NodeTable:
         return is_symbol, np.isin(self.heads, wanted)
 
 
-def prunes_exactly(omega: float, queries: NodeTable) -> bool:
-    """True when no aligned score of these queries can exceed 1.
-
-    The largest aligned score of a query application with ``p`` arguments is
-    ``omega / (p + omega) + 1 / (p + omega) * p`` as the reference rounds it.
-    """
-    return all(
-        omega / (p + omega) + 1.0 / (p + omega) * p <= 1.0
-        for p in set(queries.arity.tolist())
-    )
-
-
 def _leaf_rows(docs: NodeTable, queries: NodeTable, rows: range, params: MetricParams) -> np.ndarray:
     """``leaf_sim`` of query leaves ``rows`` against every document leaf."""
     q_kind = queries.kind[rows.start : rows.stop, None]
@@ -245,7 +230,8 @@ def _aligned_rows(sim: np.ndarray, docs: NodeTable, queries: NodeTable, apps: sl
     p = q_arity.astype(float)
     alpha = omega / (p + omega)
     beta = 1.0 / (p + omega)
-    return alpha[:, None] * head + beta[:, None] * args
+    aligned = alpha[:, None] * head + beta[:, None] * args
+    return np.minimum(aligned, 1.0, out=aligned)
 
 
 def _raise_ancestors(
@@ -298,7 +284,6 @@ def similarities(
 ) -> np.ndarray:
     """``sim`` of every query position (rows) against every document position.
 
-    Exact only when :func:`prunes_exactly` holds for ``params.omega``.
     Temporary arrays are cut to about ``_CELLS`` floats, so memory grows with
     query subtrees times document subtrees, not with the depth pairs.
     """

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .mathml import (
     Apply,
@@ -104,6 +104,8 @@ def validate_field(name: str, value: float) -> None:
     if name not in _FIELD_RANGES:
         raise ValueError(f"unknown metric parameter {name!r}")
     low, high, low_open, high_open = _FIELD_RANGES[name]
+    if not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     ok_low = value > low if low_open else value >= low
@@ -169,6 +171,8 @@ class MetricParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricParams":
+        if not isinstance(data, dict):
+            raise ValueError(f"params document must be a JSON object, got {type(data).__name__}")
         names = {f.name for f in fields(cls)}
         missing = sorted(names - data.keys())
         if missing:
@@ -201,12 +205,12 @@ class SymbolConfig:
     inequality: frozenset[tuple[str, str]] = DEFAULT_INEQUALITY_SYMBOLS
 
 
-def _symbol_set(entries: Iterable) -> frozenset[tuple[str, str]]:
-    pairs = set()
-    for entry in entries:
-        cd, name = entry
-        pairs.add((str(cd), str(name)))
-    return frozenset(pairs)
+def _symbol_set(entries: list) -> frozenset[tuple[str, str]]:
+    if not isinstance(entries, list) or not all(
+        isinstance(entry, list) and len(entry) == 2 for entry in entries
+    ):
+        raise ValueError(f"a symbol set must be a list of [cd, name] pairs, got {entries!r}")
+    return frozenset((str(cd), str(name)) for cd, name in entries)
 
 
 def load_params(path: str | Path) -> tuple[MetricParams, SymbolConfig]:
@@ -371,7 +375,9 @@ class _SimContext:
         omega = self.params.omega
         alpha = omega / (p + omega)
         beta = 1.0 / (p + omega)
-        value = alpha * self.sim(q.head, d.head) + beta * self._arg_list_sim(q, d)
+        # In exact arithmetic the score is at most 1, but it can round one ulp
+        # above; the clamp keeps the pruning in _scan exact.
+        value = min(alpha * self.sim(q.head, d.head) + beta * self._arg_list_sim(q, d), 1.0)
         row[id(d)] = value
         return value
 

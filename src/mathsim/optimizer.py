@@ -46,6 +46,8 @@ class GridRange:
     step: float
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, (int, float)) for v in (self.min, self.max, self.step)):
+            raise ValueError(f"min, max and step must be numbers, got {self}")
         if self.step <= 0:
             raise ValueError(f"step must be > 0, got {self.step}")
         if self.min > self.max:
@@ -80,10 +82,11 @@ class ParamSpace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParamSpace":
-        ranges = {
-            name: GridRange(spec["min"], spec["max"], spec["step"])
-            for name, spec in data["ranges"].items()
-        }
+        specs = data.get("ranges") if isinstance(data, dict) else None
+        if not (isinstance(specs, dict) and all(isinstance(s, dict) for s in specs.values())
+                and isinstance(data.get("order"), list)):
+            raise ValueError('space document must be {"order": [...], "ranges": {name: {...}}}')
+        ranges = {name: GridRange(s["min"], s["max"], s["step"]) for name, s in specs.items()}
         return cls(tuple(data["order"]), ranges)
 
 
@@ -267,7 +270,6 @@ def sweep_parameter(
     current: MetricParams,
     objective_fn: ObjectiveFn,
     incumbent: tuple[float, AverageRow] | None = None,
-    pool=None,
 ) -> tuple[float, float, AverageRow]:
     """Try every trial value of one parameter, all others held fixed.
 
@@ -277,28 +279,16 @@ def sweep_parameter(
     constraint under the current settings are skipped.
     """
     incumbent_value = getattr(current, param_name)
-    candidates = sorted(set(space.trial_values(param_name)) | {incumbent_value})
-    evaluations: dict[float, tuple[float, AverageRow]] = {}
-    pending: list[tuple[float, MetricParams]] = []
-    for value in candidates:
+    best_value, best_obj, best_avgs = None, -math.inf, None
+    for value in sorted(set(space.trial_values(param_name)) | {incumbent_value}):
         if value == incumbent_value and incumbent is not None:
-            evaluations[value] = incumbent
-            continue
-        try:
-            trial_params = current.with_value(param_name, value)
-        except ValueError:
-            continue
-        pending.append((value, trial_params))
-    runner = pool.map if pool is not None else map
-    for (value, _), outcome in zip(pending, runner(objective_fn, [p for _, p in pending])):
-        evaluations[value] = outcome
-    best_value = None
-    best_obj = -math.inf
-    best_avgs = None
-    for value in candidates:
-        if value not in evaluations:
-            continue
-        obj, avgs = evaluations[value]
+            obj, avgs = incumbent
+        else:
+            try:
+                trial_params = current.with_value(param_name, value)
+            except ValueError:
+                continue
+            obj, avgs = objective_fn(trial_params)
         if obj > best_obj:
             best_value, best_obj, best_avgs = value, obj, avgs
     return best_value, best_obj, best_avgs
@@ -309,13 +299,12 @@ def run_generation(
     space: ParamSpace,
     objective_fn: ObjectiveFn,
     entering: tuple[float, AverageRow],
-    pool=None,
 ) -> tuple[MetricParams, float, AverageRow, tuple[SweepStep, ...]]:
     """One coordinate-descent pass: sweep every parameter once, in order."""
     obj, avgs = entering
     sweeps = []
     for name in space.order:
-        value, obj, avgs = sweep_parameter(name, space, current, objective_fn, (obj, avgs), pool)
+        value, obj, avgs = sweep_parameter(name, space, current, objective_fn, (obj, avgs))
         current = current.with_value(name, value)
         sweeps.append(SweepStep(name, value, obj))
     return current, obj, avgs, tuple(sweeps)
@@ -327,7 +316,6 @@ def optimize_model(
     seed_params: MetricParams,
     objective_fn: ObjectiveFn,
     max_generations: int = DEFAULT_GENERATION_CAP,
-    pool=None,
 ) -> OptimizationRun:
     """Evolve one decay model until a generation stops improving.
 
@@ -341,7 +329,7 @@ def optimize_model(
     generations = [GenerationRecord(0, params, obj, avgs, ())]
     converged = False
     for gen in range(1, max_generations + 1):
-        params, obj, avgs, sweeps = run_generation(params, space, objective_fn, (obj, avgs), pool)
+        params, obj, avgs, sweeps = run_generation(params, space, objective_fn, (obj, avgs))
         generations.append(GenerationRecord(gen, params, obj, avgs, sweeps))
         if gen >= 2 and obj - generations[-2].objective <= DEFAULT_TOLERANCE:
             converged = True
@@ -367,16 +355,18 @@ def optimize_all(
     max_generations: int = DEFAULT_GENERATION_CAP,
     pool=None,
 ) -> OptimizeAllResult:
-    """Optimize every decay model and pick the winner (ties: earliest in order)."""
-    runs = {}
-    best_model = None
-    best_obj = -math.inf
-    for kind in DECAY_KINDS:
-        run = optimize_model(kind, space, seed_params, objective_fn, max_generations, pool=pool)
-        runs[kind] = run
-        if run.final_objective > best_obj:
-            best_model = kind
-            best_obj = run.final_objective
+    """Optimize every decay model and pick the winner (ties: earliest in order).
+
+    The models are independent runs, so with a ``pool`` (an executor) each
+    runs in a worker, which receives ``objective_fn`` once by pickling.
+    """
+    run_model = partial(
+        optimize_model, space=space, seed_params=seed_params,
+        objective_fn=objective_fn, max_generations=max_generations,
+    )
+    runner = pool.map if pool is not None else map
+    runs = dict(zip(DECAY_KINDS, runner(run_model, DECAY_KINDS)))
+    best_model = max(DECAY_KINDS, key=lambda kind: runs[kind].final_objective)
     return OptimizeAllResult(best_model, runs[best_model].final_params, runs)
 
 

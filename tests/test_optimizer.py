@@ -480,13 +480,17 @@ class TestCrossValidate:
 
 
 class TestParallelPaths:
-    def test_pooled_optimize_matches_serial(self):
+    def test_pooled_optimize_all_matches_serial(self):
         from concurrent.futures import ProcessPoolExecutor
 
         corpus, queries, truths, space = tiny_world()
         fn = SearchObjective(corpus, queries, truths, ObjectiveWeights())
         seed = default_seed_params(space)
-        serial = optimize_model("linear", space, seed, fn)
+        serial = optimize_all(space, seed, fn)
         with ProcessPoolExecutor(max_workers=2) as pool:
-            pooled = optimize_model("linear", space, seed, fn, pool=pool)
-        assert pooled.to_dict() == serial.to_dict()
+            pooled = optimize_all(space, seed, fn, pool=pool)
+        assert pooled.best_model == serial.best_model
+        assert pooled.best_params == serial.best_params
+        assert list(pooled.runs) == list(serial.runs) == list(DECAY_KINDS)
+        for kind, run in serial.runs.items():
+            assert pooled.runs[kind].to_dict() == run.to_dict()

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mathsim import engine
-from mathsim.engine import NodeTable, prunes_exactly, similarities
+from mathsim.engine import NodeTable, similarities
 from mathsim.mathml import (
     Apply,
     Constant,
@@ -234,18 +234,11 @@ def test_random_trees_equal_per_pair(docs, queries, params):
     )
 
 
-def test_prunes_exactly_on_the_grid():
-    wide = NodeTable([Apply(PLUS, (X,) * p) for p in range(44)])
-    for omega in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0):
-        assert prunes_exactly(omega, wide)
-    assert not prunes_exactly(1.5, NodeTable([Apply(PLUS, (X,) * 44)]))
-
-
-def test_unprunable_omega_scored_by_reference():
-    # At omega 3.1 a one-argument application can align above 1.  The
-    # reference's pruning then shapes its result, and the engine's all-pairs
-    # maximum differs from it in the last digit, so search() must fall back.
-    F, G = FunctionSymbol("f", "a"), FunctionSymbol("g", "a")
+def test_aligned_score_clamped_in_both_paths():
+    # At omega 3.1 a one-argument application can align one ulp above 1.
+    # Unclamped, the reference's pruning shaped its result, and the engine's
+    # all-pairs maximum differed from it in the last digit.
+    F, G, H = FunctionSymbol("f", "a"), FunctionSymbol("g", "a"), FunctionSymbol("h", "a")
 
     def f(*args):
         return Apply(F, args)
@@ -253,16 +246,18 @@ def test_unprunable_omega_scored_by_reference():
     def g(*args):
         return Apply(G, args)
 
+    params = make_params(zeta=1.0, omega=3.1, decay_model="linear", dp_rate=0.1, cp_rate=0.1)
+    # f(x) aligns with itself one level down on both sides: 0.9 * 0.9 * 1.
+    assert sim(g(f(X)), Apply(H, (f(X),)), params, frozenset()) == 0.81
     query = g(f(X), g(F, f(Y), f(X, F, X)))
     doc = g(X, g(f(Y, f(Y), f(F))), X)
-    params = make_params(zeta=1.0, omega=3.1, decay_model="linear", dp_rate=0.1, cp_rate=0.1)
     queries, docs = NodeTable([query]), NodeTable([doc])
-    assert not prunes_exactly(params.omega, queries)
+    reference = sim(query, doc, params, frozenset())
     engine = similarities(docs, queries, params, frozenset())[queries.roots[0], docs.roots[0]]
-    assert engine != sim(query, doc, params, frozenset())
+    assert engine == reference
     corpus = plain_corpus([doc])
-    reference = score_document(query, doc, corpus[0].formula_class, params, frozenset())
-    assert search(query, corpus, params, 1, frozenset()).hits == (("d00", reference),)
+    scored = score_document(query, doc, corpus[0].formula_class, params, frozenset())
+    assert search(query, corpus, params, 1, frozenset()).hits == (("d00", scored),)
 
 
 def test_deepest_accepted_tree_equals_per_pair(bundled_symbols):
