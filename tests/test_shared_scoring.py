@@ -234,10 +234,11 @@ def test_random_trees_equal_per_pair(docs, queries, params):
     )
 
 
-def test_aligned_score_clamped_in_both_paths():
+def test_unprunable_omega_scored_by_reference():
     # At omega 3.1 a one-argument application can align one ulp above 1.
     # Unclamped, the reference's pruning shaped its result, and the engine's
-    # all-pairs maximum differed from it in the last digit.
+    # all-pairs maximum differed from it in the last digit.  Both paths now
+    # clamp the aligned score, so similarities, sim and search() agree.
     F, G, H = FunctionSymbol("f", "a"), FunctionSymbol("g", "a"), FunctionSymbol("h", "a")
 
     def f(*args):
