@@ -175,9 +175,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         hitlists = batch_search(queries, corpus, params, sizes, symbols.commutative)
         write_hitlists_csv(hitlists, config.output_dir / "hitlists.csv")
     report = evaluation.evaluate(hitlists, truths, _table(config))
-    evaluation.write_report_csv(report, config.output_dir / "report.csv")
+    text = evaluation.report_to_csv_text(report)
+    (config.output_dir / "report.csv").write_text(text, encoding="utf-8")
     evaluation.write_report_json(report, config.output_dir / "report.json")
-    print(evaluation.report_to_csv_text(report), end="")
+    print(text, end="")
     return EXIT_OK
 
 
@@ -231,9 +232,10 @@ def cmd_xval(args: argparse.Namespace) -> int:
         corpus, queries, truths, space, config.weights, split_seed,
         seed_params=params, commutative=symbols.commutative, table=_table(config),
     )
-    optimizer.write_xval_csv(report, config.output_dir / "xval.csv")
+    text = optimizer.xval_to_csv_text(report)
+    (config.output_dir / "xval.csv").write_text(text, encoding="utf-8")
     optimizer.write_xval_json(report, config.output_dir / "xval.json")
-    print(optimizer.xval_to_csv_text(report), end="")
+    print(text, end="")
     return EXIT_OK
 
 

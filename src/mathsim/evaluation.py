@@ -22,10 +22,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .search import HitList
+from .search import HitList, read_ranked_csv
 
 DEFAULT_MC_SEED = 7151
-DEFAULT_MC_SAMPLES = 100_000
+MC_SAMPLES = 100_000
 MIN_TABLE_N = 4
 MAX_TABLE_N = 60
 _TAU_CHUNK = 10_000
@@ -194,20 +194,12 @@ def _tau_from_ranks(perms: np.ndarray, n: int) -> np.ndarray:
 class CriticalValueTable:
     """Seeded Monte Carlo critical values for rho and tau, cached per (stat, n, level).
 
-    A cache file (JSON) can be supplied so the sampling cost is paid once
-    per seed/sample configuration.
+    Each n draws ``MC_SAMPLES`` permutations.  A cache file (JSON) can be
+    supplied so the sampling cost is paid once per seed.
     """
 
-    def __init__(
-        self,
-        seed: int = DEFAULT_MC_SEED,
-        samples: int = DEFAULT_MC_SAMPLES,
-        cache_path: str | Path | None = None,
-    ):
-        if samples < DEFAULT_MC_SAMPLES:
-            raise ValueError(f"need at least {DEFAULT_MC_SAMPLES} Monte Carlo samples")
+    def __init__(self, seed: int = DEFAULT_MC_SEED, cache_path: str | Path | None = None):
         self.seed = seed
-        self.samples = samples
         self.cache_path = Path(cache_path) if cache_path is not None else None
         self._values: dict[tuple[str, int, int], float] = {}
         self._load_cache()
@@ -219,7 +211,7 @@ class CriticalValueTable:
             return
         try:
             data = json.loads(self.cache_path.read_text(encoding="utf-8"))
-            if data.get("seed") != self.seed or data.get("samples") != self.samples:
+            if data.get("seed") != self.seed or data.get("samples") != MC_SAMPLES:
                 return
             values = {}
             for key, value in data.get("values", {}).items():
@@ -234,7 +226,7 @@ class CriticalValueTable:
             return
         payload = {
             "seed": self.seed,
-            "samples": self.samples,
+            "samples": MC_SAMPLES,
             "values": {f"{s}:{n}:{lv}": v for (s, n, lv), v in sorted(self._values.items())},
         }
         # Written whole to a temporary file and renamed over the cache, so a
@@ -253,7 +245,7 @@ class CriticalValueTable:
 
     def _compute_for_n(self, n: int) -> None:
         rng = np.random.default_rng([self.seed, n])
-        base = np.tile(np.arange(1, n + 1, dtype=np.int16), (self.samples, 1))
+        base = np.tile(np.arange(1, n + 1, dtype=np.int16), (MC_SAMPLES, 1))
         perms = rng.permuted(base, axis=1)
         stats = {"rho": _rho_from_ranks(perms, n), "tau": _tau_from_ranks(perms, n)}
         for stat, values in stats.items():
@@ -379,10 +371,6 @@ def report_to_csv_text(report: EvalReport) -> str:
     return csv_text(rows)
 
 
-def write_report_csv(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(report_to_csv_text(report), encoding="utf-8")
-
-
 def write_report_json(report: EvalReport, path: str | Path) -> None:
     payload = {
         "queries": [asdict(row) for row in report.queries],
@@ -393,36 +381,7 @@ def write_report_json(report: EvalReport, path: str | Path) -> None:
 
 def read_ground_truth_csv(path: str | Path) -> list[GroundTruth]:
     """Read ``query_id,rank,doc_id`` rows (rank ascending from 1 per query)."""
-    by_query: dict[str, list[tuple[int, str]]] = {}
-    order: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["query_id", "rank", "doc_id"]:
-            raise ValueError(f"{path}: expected header query_id,rank,doc_id, got {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}, line {reader.line_num}: malformed row {row!r}")
-            query_id, rank_text, doc_id = row
-            try:
-                rank = int(rank_text)
-            except ValueError:
-                raise ValueError(
-                    f"{path}, line {reader.line_num}: rank {rank_text!r} is not an integer"
-                ) from None
-            if query_id not in by_query:
-                by_query[query_id] = []
-                order.append(query_id)
-            by_query[query_id].append((rank, doc_id))
-    truths = []
-    for query_id in order:
-        rows = sorted(by_query[query_id])
-        if [r for r, _ in rows] != list(range(1, len(rows) + 1)):
-            raise ValueError(f"{path}: ranks for {query_id!r} are not 1..{len(rows)}")
-        try:
-            truths.append(GroundTruth(query_id, tuple(doc_id for _, doc_id in rows)))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-    return truths
+    return read_ranked_csv(
+        path, ("query_id", "rank", "doc_id"),
+        lambda query_id, rows: GroundTruth(query_id, tuple(r[2] for r in rows)),
+    )

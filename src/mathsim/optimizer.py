@@ -94,38 +94,6 @@ def load_param_space(path: str | Path) -> ParamSpace:
     return ParamSpace.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def default_param_space() -> ParamSpace:
-    """Grid used when no space file is supplied; function parameters first."""
-    return ParamSpace(
-        order=(
-            "omega",
-            "mu",
-            "zeta",
-            "delta",
-            "theta",
-            "dp_rate",
-            "cp_rate",
-            "epsilon",
-            "w_eq",
-            "w_ineq",
-            "w_expr",
-        ),
-        ranges={
-            "omega": GridRange(1.5, 5.0, 0.5),
-            "mu": GridRange(0.1, 0.9, 0.1),
-            "zeta": GridRange(0.0, 0.9, 0.1),
-            "delta": GridRange(0.0, 0.9, 0.1),
-            "theta": GridRange(0.0, 0.9, 0.1),
-            "dp_rate": GridRange(0.1, 0.9, 0.1),
-            "cp_rate": GridRange(0.1, 0.9, 0.1),
-            "epsilon": GridRange(0.05, 0.05, 1.0),
-            "w_eq": GridRange(1.0, 2.0, 0.25),
-            "w_ineq": GridRange(1.0, 1.5, 0.25),
-            "w_expr": GridRange(1.0, 1.0, 1.0),
-        },
-    )
-
-
 def default_seed_params(space: ParamSpace, decay_model: str = "exponential") -> MetricParams:
     """Every swept parameter at its first trial value; a deliberately plain start."""
     values = DEFAULT_PARAMS.to_dict()
@@ -352,7 +320,6 @@ def optimize_all(
     space: ParamSpace,
     seed_params: MetricParams,
     objective_fn: ObjectiveFn,
-    max_generations: int = DEFAULT_GENERATION_CAP,
     pool=None,
 ) -> OptimizeAllResult:
     """Optimize every decay model and pick the winner (ties: earliest in order).
@@ -361,8 +328,7 @@ def optimize_all(
     runs in a worker, which receives ``objective_fn`` once by pickling.
     """
     run_model = partial(
-        optimize_model, space=space, seed_params=seed_params,
-        objective_fn=objective_fn, max_generations=max_generations,
+        optimize_model, space=space, seed_params=seed_params, objective_fn=objective_fn
     )
     runner = pool.map if pool is not None else map
     runs = dict(zip(DECAY_KINDS, runner(run_model, DECAY_KINDS)))
@@ -402,7 +368,6 @@ def cross_validate(
     seed_params: MetricParams | None = None,
     commutative: frozenset[tuple[str, str]] = DEFAULT_COMMUTATIVE,
     table: CriticalValueTable | None = None,
-    max_generations: int = DEFAULT_GENERATION_CAP,
     observer: Callable[[str, str, tuple[str, ...]], None] | None = None,
 ) -> XValReport:
     """Optimize per model both on all queries and on a seeded half-split.
@@ -437,8 +402,8 @@ def cross_validate(
     full_obj = objective_on("full", {*ids, *(t.query_id for t in truths)})
     train_obj = objective_on("train", train_set)
     test_obj = objective_on("test", test_set)
-    full = optimize_all(space, seed_params, full_obj, max_generations)
-    train = optimize_all(space, seed_params, train_obj, max_generations)
+    full = optimize_all(space, seed_params, full_obj)
+    train = optimize_all(space, seed_params, train_obj)
 
     def row(kind: str, protocol: str, avg: AverageRow) -> XValRow:
         return XValRow(kind, protocol, avg.overall_recall, avg.top10_recall, avg.rho, avg.tau)
@@ -467,10 +432,6 @@ def xval_to_csv_text(report: XValReport) -> str:
         for row in report.rows
     ]
     return csv_text([_XVAL_COLUMNS, *rows])
-
-
-def write_xval_csv(report: XValReport, path: str | Path) -> None:
-    Path(path).write_text(xval_to_csv_text(report), encoding="utf-8")
 
 
 def write_xval_json(report: XValReport, path: str | Path) -> None:

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .mathml import ExprTree, FormulaClass, classify, parse_expression
 from .metric import DEFAULT_COMMUTATIVE, MetricParams, SymbolConfig, score_document
 
 CORPUS_EXTENSIONS = (".xml", ".mathml")
+HITLIST_COLUMNS = ("query_id", "rank", "doc_id", "score")
 
 
 class CorpusLoadError(ValueError):
@@ -222,7 +224,7 @@ def batch_search(
 def write_hitlists_csv(hitlists: Sequence[HitList], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["query_id", "rank", "doc_id", "score"])
+        writer.writerow(HITLIST_COLUMNS)
         for hl in hitlists:
             for rank, (doc_id, score) in enumerate(hl.hits, start=1):
                 writer.writerow([hl.query_id, rank, doc_id, repr(score)])
@@ -240,40 +242,57 @@ def write_hitlists_json(hitlists: Sequence[HitList], path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def read_hitlists_csv(path: str | Path) -> list[HitList]:
-    """Read hit lists in the emitted CSV schema, e.g. from an external engine."""
-    by_query: dict[str, list[tuple[int, str, float]]] = {}
-    order: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["query_id", "rank", "doc_id", "score"]:
-            raise ValueError(f"{path}: expected header query_id,rank,doc_id,score, got {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}, line {reader.line_num}: malformed row {row!r}")
-            query_id, rank_text, doc_id, score_text = row
-            try:
-                rank, score = int(rank_text), float(score_text)
-            except ValueError:
-                raise ValueError(
-                    f"{path}, line {reader.line_num}: rank {rank_text!r} or score "
-                    f"{score_text!r} is not a number"
-                ) from None
-            if query_id not in by_query:
-                by_query[query_id] = []
-                order.append(query_id)
-            by_query[query_id].append((rank, doc_id, score))
-    hitlists = []
-    for query_id in order:
-        rows = sorted(by_query[query_id])
-        if [r for r, _, _ in rows] != list(range(1, len(rows) + 1)):
+def read_ranked_csv(path: str | Path, columns: tuple[str, ...], build: Callable) -> list:
+    """Read a ranked CSV: the header ``columns``, then one row per ranked document.
+
+    The columns are ``query_id,rank,doc_id``, optionally followed by a float
+    ``score``; blank rows are skipped.  Rows are grouped by query in
+    first-seen order and sorted by rank, which must run 1..n per query, and
+    ``build(query_id, rows)`` turns each group into one record.  Every error
+    is a ValueError naming the file, and for a bad row its line.
+    """
+    scored = len(columns) > 3
+    groups: dict[str, list[list]] = {}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != list(columns):
+                raise ValueError(f"{path}: expected header {','.join(columns)}, got {header}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(columns):
+                    raise ValueError(f"{path}, line {reader.line_num}: malformed row {row!r}")
+                try:
+                    row[1] = int(row[1])
+                    if scored:
+                        row[3] = float(row[3])
+                except ValueError:
+                    bad = (f"rank {row[1]!r} is not an integer" if isinstance(row[1], str)
+                           else f"score {row[3]!r} is not a number")
+                    raise ValueError(f"{path}, line {reader.line_num}: {bad}") from None
+                group = groups.get(row[0])
+                if group is None:
+                    group = groups[row[0]] = []
+                group.append(row)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    records = []
+    for query_id, rows in groups.items():
+        rows.sort(key=itemgetter(1))
+        if [row[1] for row in rows] != list(range(1, len(rows) + 1)):
             raise ValueError(f"{path}: ranks for {query_id!r} are not 1..{len(rows)}")
-        hits = tuple((doc_id, score) for _, doc_id, score in rows)
         try:
-            hitlists.append(HitList(query_id, hits, len(hits)))
+            records.append(build(query_id, rows))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-    return hitlists
+    return records
+
+
+def read_hitlists_csv(path: str | Path) -> list[HitList]:
+    """Read hit lists in the emitted CSV schema, e.g. from an external engine."""
+    return read_ranked_csv(
+        path, HITLIST_COLUMNS,
+        lambda query_id, rows: HitList(query_id, tuple((r[2], r[3]) for r in rows), len(rows)),
+    )

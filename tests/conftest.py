@@ -7,6 +7,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mathsim.evaluation import CriticalValueTable, read_ground_truth_csv
 from mathsim.metric import load_params
+from mathsim.optimizer import load_param_space
 from mathsim.search import load_corpus, load_queries
 
 ASSETS = Path(__file__).resolve().parent.parent / "assets"
@@ -42,6 +43,12 @@ def bundled_params():
 def bundled_symbols():
     _, symbols = load_params(ASSETS / "params.json")
     return symbols
+
+
+@pytest.fixture(scope="session")
+def bundled_space():
+    # Loaded the way the CLI loads `space_file`.
+    return load_param_space(ASSETS / "space.json")
 
 
 @pytest.fixture(scope="session")

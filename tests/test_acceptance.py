@@ -27,7 +27,6 @@ from mathsim.optimizer import (
     ParamSpace,
     SearchObjective,
     cross_validate,
-    default_param_space,
     default_seed_params,
     optimize_all,
     xval_to_csv_text,
@@ -52,8 +51,10 @@ def bundled_trees(bundled_corpus, bundled_queries):
 
 
 @pytest.fixture(scope="session")
-def optimized_bundle(bundled_corpus, bundled_queries, bundled_truths, bundled_symbols, mc_table):
-    space = default_param_space()
+def optimized_bundle(
+    bundled_corpus, bundled_queries, bundled_truths, bundled_symbols, bundled_space, mc_table
+):
+    space = bundled_space
     seed = default_seed_params(space)
     objective_fn = SearchObjective(
         bundled_corpus, bundled_queries, bundled_truths, ObjectiveWeights(),
@@ -124,9 +125,9 @@ def test_criterion_3_paper_ordering(optimized_bundle, bundled_corpus, bundled_sy
             assert score_coulomb > score_flat, kind
 
 
-def test_criterion_4_decay_contracts():
+def test_criterion_4_decay_contracts(bundled_space):
     with criterion("4 decay-contracts"):
-        space = default_param_space()
+        space = bundled_space
         rates = sorted(set(space.trial_values("dp_rate")) | set(space.trial_values("cp_rate")))
         epsilons = space.trial_values("epsilon")
         for kind in DECAY_KINDS:

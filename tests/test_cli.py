@@ -169,7 +169,8 @@ class TestEvaluateCommand:
         code = main(["evaluate", "--config", str(config), "--hitlists", str(external)])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
-        assert "bad_hits.csv, line 3" in err and "not a number" in err
+        bad = "score 'abc' is not a number" if score == "abc" else "rank 'first' is not an integer"
+        assert "bad_hits.csv, line 3" in err and bad in err
 
     def test_non_numeric_truth_rank_is_data_error(self, tmp_path, capsys):
         truth = tmp_path / "truth.csv"
@@ -183,6 +184,23 @@ class TestEvaluateCommand:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert "truth.csv, line 3" in err and "'two' is not an integer" in err
+
+    def test_non_utf8_truth_names_it(self, tmp_path, capsys):
+        truth = tmp_path / "latin_truth.csv"
+        truth.write_bytes((ASSETS / "truth.csv").read_bytes() + b"q_newton,9,caf\xe9\n")
+        config = write_config(tmp_path, truth_file=str(truth))
+        assert main(["evaluate", "--config", str(config)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "latin_truth.csv" in err and "utf-8" in err and "Traceback" not in err
+
+    def test_non_utf8_hitlists_names_it(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        hitlists = tmp_path / "latin_hits.csv"
+        hitlists.write_bytes(b"query_id,rank,doc_id,score\nq_newton,1,\xff,0.9\n")
+        code = main(["evaluate", "--config", str(config), "--hitlists", str(hitlists)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "latin_hits.csv" in err and "utf-8" in err and "Traceback" not in err
 
     def test_missing_truth_is_data_error(self, tmp_path, capsys):
         truncated = tmp_path / "truth.csv"

@@ -16,7 +16,6 @@ from mathsim.evaluation import (
     spearman_rho,
     top10_recall,
     truth_sizes,
-    write_report_csv,
     write_report_json,
 )
 from mathsim.search import HitList
@@ -247,10 +246,6 @@ class TestCriticalValues:
         assert cache.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cv.json"]
 
-    def test_sample_floor_enforced(self):
-        with pytest.raises(ValueError):
-            CriticalValueTable(samples=1000)
-
 
 class TestEvaluate:
     def test_perfect_single_query(self, mc_table):
@@ -281,16 +276,12 @@ class TestEvaluate:
         row = report.queries[0]
         assert row.rho == 1.0 and not row.rho_sig_95 and not row.tau_sig_99
 
-    def test_csv_deterministic(self, mc_table, tmp_path):
+    def test_csv_deterministic(self, mc_table):
         hits = [hits_of("a", "b", "c", "d", "e")]
         truths = [truth_of("a", "c", "b", "d", "e")]
         report1 = evaluate(hits, truths, mc_table)
         report2 = evaluate(hits, truths, mc_table)
         assert report_to_csv_text(report1) == report_to_csv_text(report2)
-        p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-        write_report_csv(report1, p1)
-        write_report_csv(report2, p2)
-        assert p1.read_bytes() == p2.read_bytes()
 
     def test_csv_shape(self, mc_table):
         report = evaluate([hits_of("a", "b", "c", "d")], [truth_of("a", "b", "c", "d")], mc_table)

@@ -13,7 +13,6 @@ from mathsim.optimizer import (
     ParamSpace,
     SearchObjective,
     cross_validate,
-    default_param_space,
     default_seed_params,
     load_param_space,
     objective,
@@ -67,11 +66,6 @@ class TestGridRange:
 
 
 class TestParamSpace:
-    def test_default_space_valid(self):
-        space = default_param_space()
-        assert space.order[0] == "omega"
-        assert len(space.trial_values("delta")) == 10
-
     def test_invalid_grid_value_rejected(self):
         with pytest.raises(ValueError, match="mu"):
             ParamSpace(("mu",), {"mu": GridRange(0.0, 0.9, 0.1)})
@@ -89,14 +83,17 @@ class TestParamSpace:
             ParamSpace(("zeta",), {})
 
     def test_bundled_space_file_loads(self, assets_dir):
-        # The path the CLI takes for `space_file`.
+        # The path the CLI takes for `space_file`; function parameters first.
         space = load_param_space(assets_dir / "space.json")
-        assert space.order == default_param_space().order
+        assert space.order == (
+            "omega", "mu", "zeta", "delta", "theta", "dp_rate", "cp_rate",
+            "epsilon", "w_eq", "w_ineq", "w_expr",
+        )
         assert space.ranges["omega"] == GridRange(1.5, 5.0, 0.5)
+        assert len(space.trial_values("delta")) == 10
 
-    def test_seed_params_take_first_values(self):
-        space = default_param_space()
-        seed = default_seed_params(space)
+    def test_seed_params_take_first_values(self, bundled_space):
+        seed = default_seed_params(bundled_space)
         assert seed.omega == 1.5
         assert seed.zeta == 0.0
         assert seed.epsilon == 0.05

@@ -196,6 +196,12 @@ class TestHitListIO:
         with pytest.raises(ValueError, match="ranks"):
             read_hitlists_csv(path)
 
+    def test_oversized_field_names_file(self, tmp_path):
+        path = tmp_path / "hits.csv"
+        path.write_text("query_id,rank,doc_id,score\nq1,1," + "a" * 200_000 + ",0.9\n")
+        with pytest.raises(ValueError, match=r"hits\.csv: field larger than field limit"):
+            read_hitlists_csv(path)
+
 
 def test_query_fixture_types(bundled_queries):
     assert all(isinstance(q, Query) for q in bundled_queries)
