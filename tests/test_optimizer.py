@@ -66,6 +66,11 @@ class TestGridRange:
 
 
 class TestParamSpace:
+    def test_default_space_valid(self, bundled_space):
+        # assets/space.json is the default sweep space.
+        assert bundled_space.order[0] == "omega"
+        assert len(bundled_space.trial_values("delta")) == 10
+
     def test_invalid_grid_value_rejected(self):
         with pytest.raises(ValueError, match="mu"):
             ParamSpace(("mu",), {"mu": GridRange(0.0, 0.9, 0.1)})
