@@ -67,6 +67,15 @@ def load_config(path: str | Path) -> RunConfig:
         }
         weights = optimizer.ObjectiveWeights.from_dict(data.get("weights", {}))
         seeds = data.get("seeds", {})
+        if not isinstance(seeds, dict):
+            raise ConfigError(f"config {config_path}: seeds must be an object, got {seeds!r}")
+        mc_seed = seeds.get("mc_seed", evaluation.DEFAULT_MC_SEED)
+        # numpy would reject a negative seed only when the first table is filled.
+        if isinstance(mc_seed, bool) or not isinstance(mc_seed, int) or mc_seed < 0:
+            raise ConfigError(
+                f"config {config_path}: seeds.mc_seed must be a non-negative integer, "
+                f"got {mc_seed!r}"
+            )
         config = RunConfig(
             corpus_dir=paths["corpus_dir"],
             queries_dir=paths["queries_dir"],
@@ -75,7 +84,7 @@ def load_config(path: str | Path) -> RunConfig:
             space_file=paths["space_file"],
             weights=weights,
             split_seed=int(seeds.get("split_seed", 1)),
-            mc_seed=int(seeds.get("mc_seed", evaluation.DEFAULT_MC_SEED)),
+            mc_seed=mc_seed,
             output_dir=base / data.get("output_dir", "out"),
         )
     except (KeyError, TypeError, ValueError) as exc:

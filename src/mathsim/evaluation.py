@@ -28,7 +28,6 @@ DEFAULT_MC_SEED = 7151
 MC_SAMPLES = 100_000
 MIN_TABLE_N = 4
 MAX_TABLE_N = 60
-_TAU_CHUNK = 10_000
 
 
 @dataclass(frozen=True)
@@ -175,20 +174,39 @@ def _tail_threshold(samples: np.ndarray, alpha: float) -> float:
     return float(ordered[idx])
 
 
-def _rho_from_ranks(perms: np.ndarray, n: int) -> np.ndarray:
-    d = perms.astype(np.int64) - np.arange(1, n + 1)
-    return 1.0 - 6.0 * (d * d).sum(axis=1) / (n * (n * n - 1))
+def _rho_from_ranks(columns: np.ndarray) -> np.ndarray:
+    """Spearman's rho of each sampled permutation against 1..n.
+
+    ``columns`` holds one row per position and one column per sample.  The
+    squared rank differences sum to ``2 * sum(i * i) - 2 * sum(i * p_i)``,
+    an exact integer, so the division is the only rounding step.
+    """
+    n, count = columns.shape
+    dot = np.zeros(count, dtype=np.int64)
+    for i, column in enumerate(columns, start=1):
+        dot += column * np.int64(i)
+    d_sq = n * (n + 1) * (2 * n + 1) // 3 - 2 * dot
+    return 1.0 - 6.0 * d_sq / (n * (n * n - 1))
 
 
-def _tau_from_ranks(perms: np.ndarray, n: int) -> np.ndarray:
-    upper_i, upper_j = np.triu_indices(n, k=1)
-    pair_count = n * (n - 1) // 2
-    out = np.empty(len(perms))
-    for start in range(0, len(perms), _TAU_CHUNK):
-        block = perms[start : start + _TAU_CHUNK]
-        signs = np.sign(block[:, upper_j] - block[:, upper_i])
-        out[start : start + len(block)] = signs.sum(axis=1, dtype=np.int64) / pair_count
-    return out
+def _tau_from_ranks(columns: np.ndarray) -> np.ndarray:
+    """Kendall's tau of each sampled permutation against 1..n (n <= 64).
+
+    ``columns`` as for ``_rho_from_ranks``.  Walking the positions in order,
+    bit ``p - 1`` of ``seen`` marks an earlier value ``p``; the earlier
+    values above ``p_j`` are the set bits at or above ``p_j - 1``, one
+    inversion each.  tau is ``(pairs - 2 * inversions) / pairs``.
+    """
+    n, count = columns.shape
+    one = np.uint64(1)
+    seen = np.zeros(count, dtype=np.uint64)
+    inversions = np.zeros(count, dtype=np.int64)
+    for column in columns:
+        shift = column.astype(np.uint64) - one
+        inversions += np.bitwise_count(seen >> shift)
+        seen |= one << shift
+    pairs = n * (n - 1) // 2
+    return (pairs - 2 * inversions) / pairs
 
 
 class CriticalValueTable:
@@ -245,9 +263,12 @@ class CriticalValueTable:
 
     def _compute_for_n(self, n: int) -> None:
         rng = np.random.default_rng([self.seed, n])
-        base = np.tile(np.arange(1, n + 1, dtype=np.int16), (MC_SAMPLES, 1))
-        perms = rng.permuted(base, axis=1)
-        stats = {"rho": _rho_from_ranks(perms, n), "tau": _tau_from_ranks(perms, n)}
+        # Column k is sample k: the same stream as shuffling each row of a
+        # (MC_SAMPLES, n) array, laid out so each position is contiguous.
+        columns = np.empty((n, MC_SAMPLES), dtype=np.int16)
+        columns[:] = np.arange(1, n + 1, dtype=np.int16)[:, None]
+        rng.permuted(columns, axis=0, out=columns)
+        stats = {"rho": _rho_from_ranks(columns), "tau": _tau_from_ranks(columns)}
         for stat, values in stats.items():
             for level, alpha in ((95, 0.05), (99, 0.01)):
                 self._values[(stat, n, level)] = _tail_threshold(values, alpha)

@@ -7,6 +7,7 @@ import math
 import random
 from typing import Sequence
 
+import numpy as np
 from hypothesis import strategies as st
 
 from mathsim.mathml import Apply, Constant, ExprTree, FunctionSymbol, Variable
@@ -136,6 +137,27 @@ params_strategy = st.builds(
 
 
 # independent oracles ---------------------------------------------------------
+
+_TAU_CHUNK = 10_000
+
+
+def rho_from_ranks_pairwise(perms: np.ndarray, n: int) -> np.ndarray:
+    """Spearman's rho of each row of ``perms`` against 1..n, from the squared differences."""
+    d = perms.astype(np.int64) - np.arange(1, n + 1)
+    return 1.0 - 6.0 * (d * d).sum(axis=1) / (n * (n * n - 1))
+
+
+def tau_from_ranks_pairwise(perms: np.ndarray, n: int) -> np.ndarray:
+    """Kendall's tau of each row of ``perms`` against 1..n, by the sign of every pair."""
+    upper_i, upper_j = np.triu_indices(n, k=1)
+    pair_count = n * (n - 1) // 2
+    out = np.empty(len(perms))
+    for start in range(0, len(perms), _TAU_CHUNK):
+        block = perms[start : start + _TAU_CHUNK]
+        signs = np.sign(block[:, upper_j] - block[:, upper_i])
+        out[start : start + len(block)] = signs.sum(axis=1, dtype=np.int64) / pair_count
+    return out
+
 
 def exhaustive_critical_value(statistic: str, n: int, alpha: float) -> float:
     """Critical value by enumerating every permutation of 1..n.

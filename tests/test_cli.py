@@ -338,6 +338,17 @@ class TestExitCodes:
         assert "config error" in err and "bad.json" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("seeds", [
+        {"mc_seed": -1}, {"mc_seed": True}, {"mc_seed": 1.5}, {"mc_seed": "7151"}, [7151],
+    ], ids=["negative", "bool", "float", "string", "seeds-list"])
+    def test_bad_mc_seed_is_config_error(self, tmp_path, capsys, seeds):
+        config = write_config(tmp_path, seeds=seeds)
+        assert main(["evaluate", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(config) in err
+        assert ("seeds.mc_seed" if isinstance(seeds, dict) else "seeds must be an object") in err
+        assert not (tmp_path / "out").exists()
+
     def test_usage_error_is_config_exit(self):
         assert main(["search", "--no-such-flag"]) == EXIT_CONFIG
 

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mathsim import evaluation
@@ -20,7 +22,11 @@ from mathsim.evaluation import (
 )
 from mathsim.search import HitList
 
-from helpers import exhaustive_critical_value
+from helpers import exhaustive_critical_value, rho_from_ranks_pairwise, tau_from_ranks_pairwise
+
+# Every (stat, n, level) of the seed-7151 table, as the pairwise sign count
+# and squared-difference sum computed them.
+GOLDEN_TABLE = Path(__file__).resolve().parent / "critical_values_seed7151.json"
 
 
 def hits_of(*doc_ids, query_id="q", n=None):
@@ -204,6 +210,37 @@ class TestCriticalValues:
         for stat in ("rho", "tau"):
             got = other.critical_value(stat, 10, 95)
             assert abs(got - mc_table.critical_value(stat, 10, 95)) <= 0.02
+
+    def test_table_matches_golden_file(self, mc_table):
+        golden = json.loads(GOLDEN_TABLE.read_text(encoding="utf-8"))
+        assert golden["seed"] == mc_table.seed and golden["samples"] == evaluation.MC_SAMPLES
+        expected = {}
+        for key, value in golden["values"].items():
+            stat, n, level = key.split(":")
+            expected[(stat, int(n), int(level))] = value
+        assert len(expected) == 2 * 2 * (evaluation.MAX_TABLE_N - evaluation.MIN_TABLE_N + 1)
+        got = {key: mc_table.critical_value(*key) for key in expected}
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "fast, oracle",
+        [
+            (evaluation._rho_from_ranks, rho_from_ranks_pairwise),
+            (evaluation._tau_from_ranks, tau_from_ranks_pairwise),
+        ],
+        ids=["rho", "tau"],
+    )
+    def test_statistics_match_pairwise_oracle(self, fast, oracle):
+        rng = np.random.default_rng(2024)
+        for n in range(evaluation.MIN_TABLE_N, evaluation.MAX_TABLE_N + 1):
+            identity = np.arange(1, n + 1, dtype=np.int16)
+            sampled = rng.permuted(np.tile(identity, (2000, 1)), axis=1)
+            # The identity has no inversions, the reversal all n(n-1)/2; at
+            # n = 60 the reversal sets bit 59 of the tau bitmask.
+            perms = np.vstack([sampled, identity, identity[::-1]])
+            got = fast(np.ascontiguousarray(perms.T))
+            assert np.array_equal(got, oracle(perms, n)), n
+            assert got[-2] == 1.0 and got[-1] == -1.0, n
 
     def test_cache_file_round_trip(self, tmp_path):
         cache = tmp_path / "cv.json"
