@@ -51,6 +51,17 @@ class RunConfig:
     output_dir: Path
 
 
+def _seed(config_path: Path, seeds: dict, key: str, default: int) -> int:
+    # int() would turn 1.5, true or "17" into a seed without a word, and a
+    # negative mc_seed would fail only when numpy fills the first table.
+    value = seeds.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(
+            f"config {config_path}: seeds.{key} must be a non-negative integer, got {value!r}"
+        )
+    return value
+
+
 def load_config(path: str | Path) -> RunConfig:
     config_path = Path(path)
     try:
@@ -69,13 +80,6 @@ def load_config(path: str | Path) -> RunConfig:
         seeds = data.get("seeds", {})
         if not isinstance(seeds, dict):
             raise ConfigError(f"config {config_path}: seeds must be an object, got {seeds!r}")
-        mc_seed = seeds.get("mc_seed", evaluation.DEFAULT_MC_SEED)
-        # numpy would reject a negative seed only when the first table is filled.
-        if isinstance(mc_seed, bool) or not isinstance(mc_seed, int) or mc_seed < 0:
-            raise ConfigError(
-                f"config {config_path}: seeds.mc_seed must be a non-negative integer, "
-                f"got {mc_seed!r}"
-            )
         config = RunConfig(
             corpus_dir=paths["corpus_dir"],
             queries_dir=paths["queries_dir"],
@@ -83,8 +87,8 @@ def load_config(path: str | Path) -> RunConfig:
             params_file=paths["params_file"],
             space_file=paths["space_file"],
             weights=weights,
-            split_seed=int(seeds.get("split_seed", 1)),
-            mc_seed=mc_seed,
+            split_seed=_seed(config_path, seeds, "split_seed", 1),
+            mc_seed=_seed(config_path, seeds, "mc_seed", evaluation.DEFAULT_MC_SEED),
             output_dir=base / data.get("output_dir", "out"),
         )
     except (KeyError, TypeError, ValueError) as exc:

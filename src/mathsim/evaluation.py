@@ -288,32 +288,18 @@ class CriticalValueTable:
         return self._values[key]
 
 
-_default_table: CriticalValueTable | None = None
-
-
-def default_critical_values() -> CriticalValueTable:
-    global _default_table
-    if _default_table is None:
-        _default_table = CriticalValueTable()
-    return _default_table
-
-
 def evaluate(
-    hitlists: Sequence[HitList],
-    truths: Iterable[GroundTruth],
-    table: CriticalValueTable | None = None,
+    hitlists: Sequence[HitList], truths: Iterable[GroundTruth], table: CriticalValueTable
 ) -> EvalReport:
     """Score every hit list against its ground truth and average the columns.
 
-    Significance flags compare |rho| and |tau| against the critical value for
-    that query's truth size; truth sizes outside the supported table range
-    are reported as not significant.
+    Significance flags compare |rho| and |tau| against ``table``'s critical
+    value for that query's truth size; truth sizes outside the supported
+    table range are reported as not significant.
     """
     truth_by_id = {}
     for truth in truths:
         truth_by_id[truth.query_id] = truth
-    if table is None:
-        table = default_critical_values()
     rows = []
     for hl in hitlists:
         truth = truth_by_id.get(hl.query_id)

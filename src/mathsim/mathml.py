@@ -83,7 +83,7 @@ DEFAULT_INEQUALITY_SYMBOLS = frozenset(
 
 # Deepest nesting parse_expression accepts: the root is at depth 0 and the
 # head and arguments of an application one level below it.  The recursive
-# walks over trees (the parser, the per-pair metric, ``height``) stay well
+# walks over trees (the parser, the per-pair metric) stay well
 # inside Python's default recursion limit at this depth.
 MAX_DEPTH = 128
 
@@ -240,9 +240,7 @@ def _build_bind(elem: ET.Element, table: dict, depth: int) -> Apply:
 
 def height(tree: ExprTree) -> int:
     """0 for leaves, 1 + the tallest child (head or argument) for applications."""
-    if isinstance(tree, LEAF_TYPES):
-        return 0
-    return 1 + max(height(c) for c in (tree.head,) + tree.args)
+    return max(depth for depth, _ in iter_subtrees(tree))
 
 
 def iter_subtrees(tree: ExprTree) -> Iterator[tuple[int, ExprTree]]:

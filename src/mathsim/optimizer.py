@@ -28,12 +28,12 @@ from .evaluation import (
     evaluate,
     truth_sizes,
 )
-from .metric import DECAY_KINDS, DEFAULT_COMMUTATIVE, DEFAULT_PARAMS, MetricParams, validate_field
+from .metric import DECAY_KINDS, DEFAULT_PARAMS, MetricParams, validate_field
 from .search import Corpus, DocumentRecord, Query, batch_search
 
 ObjectiveFn = Callable[[MetricParams], tuple[float, AverageRow]]
 
-DEFAULT_GENERATION_CAP = 25
+GENERATION_CAP = 25
 DEFAULT_TOLERANCE = 1e-9
 
 
@@ -94,10 +94,9 @@ def load_param_space(path: str | Path) -> ParamSpace:
     return ParamSpace.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def default_seed_params(space: ParamSpace, decay_model: str = "exponential") -> MetricParams:
+def default_seed_params(space: ParamSpace) -> MetricParams:
     """Every swept parameter at its first trial value; a deliberately plain start."""
     values = DEFAULT_PARAMS.to_dict()
-    values["decay_model"] = decay_model
     for name in space.order:
         values[name] = space.trial_values(name)[0]
     return MetricParams.from_dict(values)
@@ -113,6 +112,9 @@ class ObjectiveWeights:
     tau: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"objective weight {name} must be a number, got {value!r}")
         parts = (self.overall_recall, self.top10_recall, self.rho, self.tau)
         if any(w < 0 or not math.isfinite(w) for w in parts):
             raise ValueError("objective weights must be finite and >= 0")
@@ -152,8 +154,8 @@ class SearchObjective:
     queries: Sequence[Query]
     truths: Sequence[GroundTruth]
     weights: ObjectiveWeights
-    commutative: frozenset[tuple[str, str]] = DEFAULT_COMMUTATIVE
-    table: CriticalValueTable | None = None
+    commutative: frozenset[tuple[str, str]]
+    table: CriticalValueTable
     observer: Callable[[MetricParams, tuple[str, ...]], None] | None = None
     sizes: dict[str, int] = field(init=False, repr=False, compare=False)
 
@@ -237,19 +239,20 @@ def sweep_parameter(
     space: ParamSpace,
     current: MetricParams,
     objective_fn: ObjectiveFn,
-    incumbent: tuple[float, AverageRow] | None = None,
+    incumbent: tuple[float, AverageRow],
 ) -> tuple[float, float, AverageRow]:
     """Try every trial value of one parameter, all others held fixed.
 
     Returns ``(best_value, best_objective, best_averages)``.  The incumbent
-    value always competes (so a committed sweep can never regress) and ties
-    go to the smallest value.  Trial values that violate a cross-parameter
+    value always competes, with its known result ``incumbent`` rather than a
+    fresh evaluation (so a committed sweep can never regress), and ties go to
+    the smallest value.  Trial values that violate a cross-parameter
     constraint under the current settings are skipped.
     """
     incumbent_value = getattr(current, param_name)
     best_value, best_obj, best_avgs = None, -math.inf, None
     for value in sorted(set(space.trial_values(param_name)) | {incumbent_value}):
-        if value == incumbent_value and incumbent is not None:
+        if value == incumbent_value:
             obj, avgs = incumbent
         else:
             try:
@@ -283,20 +286,19 @@ def optimize_model(
     space: ParamSpace,
     seed_params: MetricParams,
     objective_fn: ObjectiveFn,
-    max_generations: int = DEFAULT_GENERATION_CAP,
 ) -> OptimizationRun:
     """Evolve one decay model until a generation stops improving.
 
     Generation 0 records the seed evaluation.  From the second real
     generation on, an improvement of at most ``DEFAULT_TOLERANCE`` over the
     previous generation stops the evolution with ``converged=True``; hitting
-    the cap instead leaves ``converged=False`` and emits a warning.
+    ``GENERATION_CAP`` instead leaves ``converged=False`` and emits a warning.
     """
     params = seed_params.with_value("decay_model", model)
     obj, avgs = objective_fn(params)
     generations = [GenerationRecord(0, params, obj, avgs, ())]
     converged = False
-    for gen in range(1, max_generations + 1):
+    for gen in range(1, GENERATION_CAP + 1):
         params, obj, avgs, sweeps = run_generation(params, space, objective_fn, (obj, avgs))
         generations.append(GenerationRecord(gen, params, obj, avgs, sweeps))
         if gen >= 2 and obj - generations[-2].objective <= DEFAULT_TOLERANCE:
@@ -304,7 +306,7 @@ def optimize_model(
             break
     if not converged:
         warnings.warn(
-            f"decay model {model!r} did not converge within {max_generations} generations"
+            f"decay model {model!r} did not converge within {GENERATION_CAP} generations"
         )
     return OptimizationRun(model, tuple(generations), converged)
 
@@ -365,9 +367,9 @@ def cross_validate(
     space: ParamSpace,
     weights: ObjectiveWeights,
     split_seed: int,
-    seed_params: MetricParams | None = None,
-    commutative: frozenset[tuple[str, str]] = DEFAULT_COMMUTATIVE,
-    table: CriticalValueTable | None = None,
+    seed_params: MetricParams,
+    commutative: frozenset[tuple[str, str]],
+    table: CriticalValueTable,
     observer: Callable[[str, str, tuple[str, ...]], None] | None = None,
 ) -> XValReport:
     """Optimize per model both on all queries and on a seeded half-split.
@@ -380,8 +382,6 @@ def cross_validate(
     """
     if len(queries) < 2:
         raise ValueError("cross-validation needs at least 2 queries")
-    if seed_params is None:
-        seed_params = default_seed_params(space)
     ids = sorted(q.query_id for q in queries)
     rng = random.Random(split_seed)
     shuffled = list(ids)

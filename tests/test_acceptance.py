@@ -229,7 +229,8 @@ def test_criterion_9_xval_hygiene(bundled_corpus, bundled_queries, bundled_truth
         events = []
         report = cross_validate(
             bundled_corpus, bundled_queries, bundled_truths, space, ObjectiveWeights(),
-            split_seed=17, commutative=bundled_symbols.commutative, table=mc_table,
+            split_seed=17, seed_params=default_seed_params(space),
+            commutative=bundled_symbols.commutative, table=mc_table,
             observer=lambda phase, model, ids: events.append((phase, model, frozenset(ids))),
         )
         all_ids = {q.query_id for q in bundled_queries}

@@ -349,6 +349,25 @@ class TestExitCodes:
         assert ("seeds.mc_seed" if isinstance(seeds, dict) else "seeds must be an object") in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("split_seed", [1.5, True, "17", -3],
+                             ids=["float", "bool", "string", "negative"])
+    def test_bad_split_seed_is_config_error(self, tmp_path, capsys, split_seed):
+        config = write_config(tmp_path, seeds={"split_seed": split_seed, "mc_seed": 7151})
+        assert main(["evaluate", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "seeds.split_seed" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("weights,field", [
+        ({"rho": True, "tau": False}, "rho"), ({"tau": "1"}, "tau"),
+    ], ids=["bool", "string"])
+    def test_non_numeric_weight_is_config_error(self, tmp_path, capsys, weights, field):
+        config = write_config(tmp_path, weights=weights)
+        assert main(["evaluate", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and f"objective weight {field}" in err
+        assert "Traceback" not in err
+
     def test_usage_error_is_config_exit(self):
         assert main(["search", "--no-such-flag"]) == EXIT_CONFIG
 

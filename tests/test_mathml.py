@@ -155,6 +155,13 @@ class TestHeight:
         tree = Apply(EQ, (Variable("y"), Apply(TIMES, (Constant("2"), Variable("x")))))
         assert height(tree) == 2
 
+    def test_deep_chain_built_in_code(self):
+        # Far past MAX_DEPTH and the recursion limit; only the parser caps depth.
+        tree = Variable("x")
+        for _ in range(2000):
+            tree = Apply(FunctionSymbol("sin", "transc1"), (tree,))
+        assert height(tree) == 2000
+
     @given(tree_strategy)
     def test_height_exceeds_children(self, tree):
         if isinstance(tree, Apply):

@@ -6,7 +6,7 @@ import pytest
 
 from mathsim.evaluation import AverageRow, GroundTruth
 from mathsim.mathml import Apply, FormulaClass, FunctionSymbol, Variable
-from mathsim.metric import DECAY_KINDS
+from mathsim.metric import DECAY_KINDS, DEFAULT_COMMUTATIVE
 from mathsim.optimizer import (
     GridRange,
     ObjectiveWeights,
@@ -135,27 +135,29 @@ class TestSweepParameter:
     def test_singleton_space_returns_value(self):
         space = ParamSpace(("zeta",), {"zeta": GridRange(0.4, 0.4, 1.0)})
         current = make_params(zeta=0.4)
-        value, obj, _ = sweep_parameter("zeta", space, current, synthetic(lambda p: 0.7))
+        fn = synthetic(lambda p: 0.7)
+        value, obj, _ = sweep_parameter("zeta", space, current, fn, fn(current))
         assert value == 0.4 and obj == 0.7
 
     def test_constant_objective_takes_smallest(self):
         space = ParamSpace(("zeta",), {"zeta": GridRange(0.0, 0.9, 0.1)})
         current = make_params(zeta=0.5)
-        value, _, _ = sweep_parameter("zeta", space, current, synthetic(lambda p: 0.5))
+        fn = synthetic(lambda p: 0.5)
+        value, _, _ = sweep_parameter("zeta", space, current, fn, fn(current))
         assert value == 0.0
 
     def test_monotone_objective_takes_maximum(self):
         space = ParamSpace(("omega",), {"omega": GridRange(1.5, 5.0, 0.5)})
         current = make_params(omega=1.5)
-        value, obj, _ = sweep_parameter("omega", space, current, synthetic(lambda p: p.omega))
+        fn = synthetic(lambda p: p.omega)
+        value, obj, _ = sweep_parameter("omega", space, current, fn, fn(current))
         assert value == 5.0 and obj == 5.0
 
     def test_off_grid_incumbent_cannot_regress(self):
         space = ParamSpace(("omega",), {"omega": GridRange(2.0, 3.0, 0.5)})
         current = make_params(omega=1.7)
-        value, obj, _ = sweep_parameter(
-            "omega", space, current, synthetic(lambda p: 1.0 if p.omega == 1.7 else 0.2)
-        )
+        fn = synthetic(lambda p: 1.0 if p.omega == 1.7 else 0.2)
+        value, obj, _ = sweep_parameter("omega", space, current, fn, fn(current))
         assert value == 1.7 and obj == 1.0
 
     def test_incumbent_result_reused(self):
@@ -174,12 +176,11 @@ class TestSweepParameter:
         # sweeping w_ineq above the committed w_eq must not blow up
         space = ParamSpace(("w_ineq",), {"w_ineq": GridRange(1.0, 1.5, 0.25)})
         current = make_params(w_eq=1.0, w_ineq=1.0, w_expr=1.0)
-        value, _, _ = sweep_parameter(
-            "w_ineq", space, current, synthetic(lambda p: p.w_ineq)
-        )
+        fn = synthetic(lambda p: p.w_ineq)
+        value, _, _ = sweep_parameter("w_ineq", space, current, fn, fn(current))
         assert value == 1.0
 
-    def test_two_document_corpus_flip(self):
+    def test_two_document_corpus_flip(self, mc_table):
         # ranking flips to the truth order once omega(1 - mu) > 2; the first
         # grid value past the threshold wins because later ones tie
         corpus = [
@@ -189,9 +190,10 @@ class TestSweepParameter:
         queries = [Query("q1", Apply(PLUS, (X, Y)))]
         truths = [GroundTruth("q1", ("doc_a", "doc_b"))]
         current = make_params(zeta=0.0, mu=0.05, omega=1.5, dp_rate=0.1, cp_rate=0.1)
-        fn = SearchObjective(corpus, queries, truths, ObjectiveWeights())
+        fn = SearchObjective(corpus, queries, truths, ObjectiveWeights(),
+                             DEFAULT_COMMUTATIVE, mc_table)
         space = ParamSpace(("omega",), {"omega": GridRange(1.5, 4.0, 0.5)})
-        value, obj, _ = sweep_parameter("omega", space, current, fn)
+        value, obj, _ = sweep_parameter("omega", space, current, fn, fn(current))
         assert value == 2.5
         assert obj == pytest.approx(1.0)
 
@@ -290,10 +292,9 @@ class TestOptimizeModel:
             return float(next(counter)), dummy_avgs()
 
         with pytest.warns(UserWarning, match="did not converge"):
-            run = optimize_model("linear", space, make_params(zeta=0.0), improving,
-                                 max_generations=5)
-        assert not run.converged
-        assert len(run.generations) == 6  # seed + 5 capped generations
+            run = optimize_model("linear", space, make_params(zeta=0.0), improving)
+        assert run.converged is False
+        assert len(run.generations) == 26  # seed + 25 capped generations
 
 
 class TestOptimizeAll:
@@ -320,7 +321,7 @@ class TestOptimizeAll:
             k: r.to_dict() for k, r in second.runs.items()
         }
 
-    def test_deep_nesting_defeats_quadratic(self):
+    def test_deep_nesting_defeats_quadratic(self, mc_table):
         # The truth ranks documents by how shallowly they embed the query, at
         # depths 4..6.  No quadratic rate on the grid discriminates past depth
         # 3 (1 - 0.1*16 is already below the floor), so every quadratic score
@@ -346,7 +347,8 @@ class TestOptimizeAll:
             ("dp_rate", "cp_rate"),
             {"dp_rate": GridRange(0.1, 0.9, 0.1), "cp_rate": GridRange(0.1, 0.9, 0.1)},
         )
-        fn = SearchObjective(corpus, queries, truths, ObjectiveWeights())
+        fn = SearchObjective(corpus, queries, truths, ObjectiveWeights(),
+                             DEFAULT_COMMUTATIVE, mc_table)
         result = optimize_all(space, make_params(dp_rate=0.1, cp_rate=0.1), fn)
         quadratic = result.runs["quadratic"].final_objective
         assert result.best_model != "quadratic"
@@ -368,23 +370,31 @@ def tiny_world(n_queries=6):
     return corpus, queries, truths, space
 
 
+def run_xval(corpus, queries, truths, space, split_seed, table, observer=None):
+    """cross_validate with default weights, seed parameters and commutative pairs."""
+    return cross_validate(corpus, queries, truths, space, ObjectiveWeights(), split_seed,
+                          default_seed_params(space), DEFAULT_COMMUTATIVE, table, observer)
+
+
 class TestSearchObjectivePairing:
-    def test_mismatch_named_in_both_directions(self):
+    def test_mismatch_named_in_both_directions(self, mc_table):
         corpus, queries, truths, _ = tiny_world(n_queries=3)
         # q02 loses its truth, and a truth arrives for a query that is not there
         truths = truths[:2] + [GroundTruth("q_orphan", ("d_plus", "d_leaf"))]
         with pytest.raises(ValueError) as info:
-            SearchObjective(corpus, queries, truths, ObjectiveWeights())
+            SearchObjective(corpus, queries, truths, ObjectiveWeights(),
+                            DEFAULT_COMMUTATIVE, mc_table)
         assert str(info.value) == (
             "queries without ground truth: q02; ground truth without queries: q_orphan"
         )
 
 
 class TestSearchObjectiveObserver:
-    def test_observer_receives_params_and_query_ids(self):
+    def test_observer_receives_params_and_query_ids(self, mc_table):
         corpus, queries, truths, _ = tiny_world(n_queries=2)
         seen = []
         fn = SearchObjective(corpus, queries, truths, ObjectiveWeights(),
+                             DEFAULT_COMMUTATIVE, mc_table,
                              observer=lambda params, ids: seen.append((params, ids)))
         params = make_params(decay_model="linear")
         fn(params)
@@ -392,17 +402,21 @@ class TestSearchObjectiveObserver:
 
 
 class TestCrossValidate:
-    def test_rows_match_optimize_all_on_each_query_set(self):
+    def test_rows_match_optimize_all_on_each_query_set(self, mc_table):
         corpus, queries, truths, space = tiny_world()
         weights = ObjectiveWeights()
-        report = cross_validate(corpus, queries, truths, space, weights, split_seed=3)
         seed = default_seed_params(space)
+        report = cross_validate(corpus, queries, truths, space, weights, split_seed=3,
+                                seed_params=seed, commutative=DEFAULT_COMMUTATIVE,
+                                table=mc_table)
 
         def on(ids):
             return SearchObjective(corpus, [q for q in queries if q.query_id in ids],
-                                   [t for t in truths if t.query_id in ids], weights)
+                                   [t for t in truths if t.query_id in ids], weights,
+                                   DEFAULT_COMMUTATIVE, mc_table)
 
-        full = optimize_all(space, seed, SearchObjective(corpus, queries, truths, weights))
+        full = optimize_all(space, seed, SearchObjective(corpus, queries, truths, weights,
+                                                         DEFAULT_COMMUTATIVE, mc_table))
         train = optimize_all(space, seed, on(set(report.train_ids)))
         test_fn = on(set(report.test_ids))
         rows = {(r.model, r.protocol): (r.overall_recall, r.top10_recall, r.rho, r.tau)
@@ -415,39 +429,39 @@ class TestCrossValidate:
             assert rows[kind, "with_cv"] == (avg.overall_recall, avg.top10_recall,
                                              avg.rho, avg.tau)
 
-    def test_truth_without_query_rejected(self):
+    def test_truth_without_query_rejected(self, mc_table):
         corpus, queries, truths, space = tiny_world()
         truths = truths + [GroundTruth("q_orphan", ("d_plus", "d_leaf"))]
         with pytest.raises(ValueError, match="ground truth without queries: q_orphan"):
-            cross_validate(corpus, queries, truths, space, ObjectiveWeights(), split_seed=3)
+            run_xval(corpus, queries, truths, space, 3, mc_table)
 
-    def test_split_disjoint_and_exhaustive(self):
+    def test_split_disjoint_and_exhaustive(self, mc_table):
         corpus, queries, truths, space = tiny_world()
-        report = cross_validate(corpus, queries, truths, space, ObjectiveWeights(), split_seed=3)
+        report = run_xval(corpus, queries, truths, space, 3, mc_table)
         train, test = set(report.train_ids), set(report.test_ids)
         assert not (train & test)
         assert train | test == {q.query_id for q in queries}
         assert len(train) == 3 and len(test) == 3
 
-    def test_forty_queries_split_evenly(self):
+    def test_forty_queries_split_evenly(self, mc_table):
         corpus, queries, truths, space = tiny_world(n_queries=40)
-        report = cross_validate(corpus, queries, truths, space, ObjectiveWeights(), split_seed=11)
+        report = run_xval(corpus, queries, truths, space, 11, mc_table)
         assert len(report.train_ids) == 20 and len(report.test_ids) == 20
 
-    def test_odd_count_training_gets_extra(self):
+    def test_odd_count_training_gets_extra(self, mc_table):
         corpus, queries, truths, space = tiny_world(n_queries=5)
-        report = cross_validate(corpus, queries, truths, space, ObjectiveWeights(), split_seed=1)
+        report = run_xval(corpus, queries, truths, space, 1, mc_table)
         assert len(report.train_ids) == 3 and len(report.test_ids) == 2
 
-    def test_same_seed_identical_report(self):
+    def test_same_seed_identical_report(self, mc_table):
         corpus, queries, truths, space = tiny_world()
-        a = cross_validate(corpus, queries, truths, space, ObjectiveWeights(), split_seed=7)
-        b = cross_validate(corpus, queries, truths, space, ObjectiveWeights(), split_seed=7)
+        a = run_xval(corpus, queries, truths, space, 7, mc_table)
+        b = run_xval(corpus, queries, truths, space, 7, mc_table)
         assert a.rows == b.rows and a.train_ids == b.train_ids
 
-    def test_rows_shape(self):
+    def test_rows_shape(self, mc_table):
         corpus, queries, truths, space = tiny_world()
-        report = cross_validate(corpus, queries, truths, space, ObjectiveWeights(), split_seed=3)
+        report = run_xval(corpus, queries, truths, space, 3, mc_table)
         assert len(report.rows) == 8
         assert [r.protocol for r in report.rows[:2]] == ["without_cv", "with_cv"]
         text = xval_to_csv_text(report)
@@ -457,11 +471,11 @@ class TestCrossValidate:
         )
         assert len(text.strip().splitlines()) == 9
 
-    def test_training_never_sees_test_queries(self):
+    def test_training_never_sees_test_queries(self, mc_table):
         corpus, queries, truths, space = tiny_world()
         events = []
-        report = cross_validate(
-            corpus, queries, truths, space, ObjectiveWeights(), split_seed=3,
+        report = run_xval(
+            corpus, queries, truths, space, 3, mc_table,
             observer=lambda phase, model, ids: events.append((phase, model, ids)),
         )
         test_ids = set(report.test_ids)
@@ -475,18 +489,19 @@ class TestCrossValidate:
         for _, _, ids in test_events:
             assert set(ids) == test_ids
 
-    def test_too_few_queries_rejected(self):
+    def test_too_few_queries_rejected(self, mc_table):
         corpus, queries, truths, space = tiny_world(n_queries=1)
         with pytest.raises(ValueError, match="at least 2"):
-            cross_validate(corpus, queries, truths, space, ObjectiveWeights(), split_seed=1)
+            run_xval(corpus, queries, truths, space, 1, mc_table)
 
 
 class TestParallelPaths:
-    def test_pooled_optimize_all_matches_serial(self):
+    def test_pooled_optimize_all_matches_serial(self, mc_table):
         from concurrent.futures import ProcessPoolExecutor
 
         corpus, queries, truths, space = tiny_world()
-        fn = SearchObjective(corpus, queries, truths, ObjectiveWeights())
+        fn = SearchObjective(corpus, queries, truths, ObjectiveWeights(),
+                             DEFAULT_COMMUTATIVE, mc_table)
         seed = default_seed_params(space)
         serial = optimize_all(space, seed, fn)
         with ProcessPoolExecutor(max_workers=2) as pool:
