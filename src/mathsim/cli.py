@@ -16,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import evaluation, mathml, metric, optimizer
 from .search import (
@@ -259,14 +260,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _hit_count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return n
+def _integer_from(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an integer of at least ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = minimum - 1
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return n
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="rank the corpus against one query")
     p_search.add_argument("--config", required=True)
     p_search.add_argument("--query", required=True)
-    p_search.add_argument("--n", type=_hit_count, default=10)
+    p_search.add_argument("--n", type=_integer_from(1), default=10)
     p_search.set_defaults(handler=cmd_search)
 
     p_eval = sub.add_parser("evaluate", help="score hit lists against the ground truth")
@@ -295,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_xval = sub.add_parser("xval", help="cross-validated optimization report")
     p_xval.add_argument("--config", required=True)
-    p_xval.add_argument("--seed", type=int, default=None, help="override the split seed")
+    # random.Random(-3) seeds like Random(3); seeds.split_seed is non-negative too.
+    p_xval.add_argument("--seed", type=_integer_from(0), default=None,
+                        help="override the split seed")
     p_xval.set_defaults(handler=cmd_xval)
     return parser
 

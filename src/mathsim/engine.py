@@ -7,6 +7,14 @@ compiles the distinct subtrees of a set of trees once into integer arrays (a
 distinct query subtree against every distinct document subtree: one numpy row
 per query subtree, filled bottom-up by query height.
 
+Scoring has two steps.  A :class:`Plan`, built once from the document table,
+the query table and the commutative symbols, holds all that the parameters
+leave alone: blocks of query rows with their ancestor pairs, leaf score
+codes, argument places, arities and greedy pairs; the document table keeps
+the gather lists of the walk down its depths.  Calling the plan with a
+parameter set is then arithmetic only, so a tuning run pays for the plan
+once.
+
 Every score equals the reference bit for bit, because the engine does the
 same floating-point operations on the same values:
 
@@ -97,9 +105,6 @@ class NodeTable:
 
     - ``heads[a]`` and ``args[a]`` are the positions of the children of
       position ``leaves + a``; ``args`` is padded with ``size``;
-    - ``children`` is ``args`` padded with the head instead, so the maximum
-      of a row over ``heads`` and the columns of ``children`` moves "best
-      subtree at depth ``k - 1``" to "at depth ``k``";
     - ``level_start[h]`` is the first position of height ``h`` or more.
     """
 
@@ -136,11 +141,35 @@ class NodeTable:
         self.args = np.full((len(children), width), self.size, dtype=np.intp)
         for a, c in enumerate(children):
             self.args[a, : len(c) - 1] = c[1:]
-        # The same with the head as padding, which leaves a maximum unchanged;
-        # one column per argument place, for the walk down the depths.
-        self.children = np.asfortranarray(
-            np.where(self.args == self.size, self.heads[:, None], self.args)
-        )
+
+    @cached_property
+    def walk(self) -> list[tuple[int, list[np.ndarray]]]:
+        """Per depth ``k >= 1``: ``(start, places)`` for a walk down the depths.
+
+        Only positions from ``start`` on (height ``k`` or more) have
+        descendants at depth ``k``.  The best of those is the best at depth
+        ``k - 1`` below their children of height ``k - 1`` or more, so the
+        maximum of a row's columns ``places`` of the previous depth takes it
+        from depth ``k - 1`` to ``k``.  Columns count from the previous
+        depth's ``start``; a position with fewer such children repeats its
+        first, which leaves the maximum unchanged.
+        """
+        children = np.column_stack([self.heads, self.args])
+        walk = []
+        first = 0
+        for k in range(1, len(self.level_start) - 1):
+            start = int(self.level_start[k])
+            below = children[start - self.leaves :]
+            # Padding is ``size``, above every position.
+            kept = (below >= first) & (below < self.size)
+            counts = kept.sum(axis=1)
+            # Kept children first, in order; each position has at least one.
+            packed = np.take_along_axis(below, np.argsort(~kept, axis=1, kind="stable"), axis=1)
+            packed = packed[:, : counts.max()]
+            packed = np.where(np.arange(packed.shape[1]) < counts[:, None], packed, packed[:, :1])
+            walk.append((start, [np.ascontiguousarray(place) for place in (packed - first).T]))
+            first = start
+        return walk
 
     @cached_property
     def ancestors(self) -> list[list[tuple[int, int]]]:
@@ -169,143 +198,210 @@ class NodeTable:
         return is_symbol, np.isin(self.heads, wanted)
 
 
-def _leaf_rows(docs: NodeTable, queries: NodeTable, rows: range, params: MetricParams) -> np.ndarray:
-    """``leaf_sim`` of query leaves ``rows`` against every document leaf."""
+def _leaf_codes(docs: NodeTable, queries: NodeTable, rows: range) -> np.ndarray:
+    """Which leaf score each query leaf of ``rows`` gets against each document leaf.
+
+    The codes index ``[0.0, delta, theta, zeta, mu, 1.0]``.
+    """
     q_kind = queries.kind[rows.start : rows.stop, None]
     d_kind = docs.kind[None, :]
     # The score of two leaves with different text, by the kinds of the two.
-    unequal = np.array([
-        [params.delta, params.theta, 0.0],
-        [params.theta, params.zeta, 0.0],
-        [0.0, 0.0, params.mu],
-    ])
-    scores = unequal[q_kind, d_kind]
+    unequal = np.array([[1, 2, 0], [2, 3, 0], [0, 0, 4]], dtype=np.int8)
+    codes = unequal[q_kind, d_kind]
     q_keys = list(queries.leaf_position)[rows.start : rows.stop]  # in position order
     q_cd = np.array([docs.cd_code.get(key[1], -2) if key[0] == SYMBOL else -1 for key in q_keys])
-    scores[(q_kind == SYMBOL) & (d_kind == SYMBOL) & (q_cd[:, None] != docs.cd[None, :])] = 0.0
+    codes[(q_kind == SYMBOL) & (d_kind == SYMBOL) & (q_cd[:, None] != docs.cd[None, :])] = 0
     same = np.array([docs.leaf_position.get(key, -1) for key in q_keys])
     found = np.nonzero(same >= 0)[0]
-    scores[found, same[found]] = 1.0
-    return scores
+    codes[found, same[found]] = 5
+    return codes
 
 
-def _greedy_sums(sim: np.ndarray, q_args: np.ndarray, d_args: np.ndarray,
-                 counts: np.ndarray, pad: int) -> np.ndarray:
-    """``greedy_sum`` for each row of paired argument lists."""
-    rows = np.arange(len(counts))
-    used = d_args == pad
-    total = np.zeros(len(counts))
-    for i in range(int(counts.max())):
-        candidates = sim[q_args[:, i, None], d_args]
-        candidates[used] = -1.0
-        best = candidates.argmax(axis=1)
-        active = i < counts
-        total = total + np.where(active, candidates[rows, best], 0.0)
-        used[rows[active], best[active]] = True
-    return total
-
-
-def _aligned_rows(sim: np.ndarray, docs: NodeTable, queries: NodeTable, apps: slice,
-                  omega: float, doc_symbols, query_symbols) -> np.ndarray:
-    """Root-aligned score of query applications ``apps`` against every document one."""
-    q_heads, q_args, q_arity = queries.heads[apps], queries.args[apps], queries.arity[apps]
-    head = sim[q_heads[:, None], docs.heads[None, :]]
-    args = np.zeros_like(head)
-    for i in range(min(q_args.shape[1], docs.args.shape[1])):
-        args = args + sim[q_args[:, i, None], docs.args[None, :, i]]
-    # Greedy where both heads are symbols and either is commutative.
-    d_symbol, d_commutative = doc_symbols
-    q_symbol, q_commutative = query_symbols[0][apps], query_symbols[1][apps]
-    greedy = (
-        (q_symbol & (q_arity > 0))[:, None]
-        & (d_symbol & (docs.arity > 0))[None, :]
-        & (q_commutative[:, None] | d_commutative[None, :])
-    )
-    q_index, d_index = np.nonzero(greedy)
-    if q_index.size:
-        counts = np.minimum(q_arity[q_index], docs.arity[d_index])
-        args[q_index, d_index] = _greedy_sums(
-            sim, q_args[q_index], docs.args[d_index], counts, docs.size
-        )
-    p = q_arity.astype(float)
-    alpha = omega / (p + omega)
-    beta = 1.0 / (p + omega)
-    aligned = alpha[:, None] * head + beta[:, None] * args
-    return np.minimum(aligned, 1.0, out=aligned)
-
-
-def _raise_ancestors(
-    sim: np.ndarray, docs: NodeTable, queries: NodeTable, rows: range,
-    params: MetricParams, bounds: np.ndarray, symbols,
-) -> None:
-    """Raise the ``sim`` rows of every query subtree above ``rows`` by their alignments.
+class _Block:
+    """Query rows of one height that one pass scores, and the ancestors they raise.
 
     Query position ``s`` at depth ``j`` below ``u`` aligned with a document
     subtree at depth ``k`` below ``d`` adds ``(cp[j] * dp[k]) * aligned`` to
-    the candidates of ``sim(u, d)``.  The rows of ``rows`` must be final.
+    the candidates of ``sim(u, d)``.  Each ancestor ``u`` gets the maximum of
+    its ``(j, s)`` pairs.  ``updates`` cut the ancestors into pieces of about
+    ``_CELLS`` floats; within a piece they are ordered by pair count, most
+    first, so the ``c``-th pairs of those with more than ``c`` form one
+    column of ``(level, row)`` arrays over a prefix of the piece.
     """
-    n = docs.size
-    # The aligned score of each row's subtree with each document subtree, then
-    # with the best of its document descendants at depth k = 1, 2, ...
-    reach = np.zeros((len(rows), n))
-    if rows.start < queries.leaves:
-        reach[:, : docs.leaves] = _leaf_rows(docs, queries, rows, params)
-    else:
+
+    def __init__(self, docs: NodeTable, queries: NodeTable, rows: range):
+        self.rows = rows
+        levels = sorted({j for s in rows for j, _ in queries.ancestors[s]})
+        level_of = {j: i for i, j in enumerate(levels)}
+        self.levels = np.array(levels, dtype=np.intp)
+        pairs: dict[int, list[tuple[int, int]]] = {}
+        for s in rows:
+            for j, u in queries.ancestors[s]:
+                pairs.setdefault(u, []).append((level_of[j], s - rows.start))
+        targets = sorted(pairs, key=lambda u: -len(pairs[u]))
+        step = max(1, _CELLS // docs.size)
+        self.updates = []
+        for first in range(0, len(targets), step):
+            piece = [pairs[u] for u in targets[first : first + step]]
+            columns = [
+                tuple(np.array(c) for c in zip(*(found[c] for found in piece if len(found) > c)))
+                for c in range(len(piece[0]))
+            ]
+            self.updates.append((np.array(targets[first : first + step]), columns))
+
+    def raise_ancestors(self, sim: np.ndarray, reach: np.ndarray, bounds: np.ndarray, walk) -> None:
+        """Raise the ``sim`` rows of every query subtree above these rows.
+
+        ``reach`` holds the aligned score of each row's subtree with each
+        document subtree; the rows of the block must be final.
+        """
+        n = reach.shape[1]
+        # The aligned score with the best of each document subtree's
+        # descendants at depth k = 1, 2, ...
+        scale = bounds[self.levels][:, :, None, None]
+        at_depth = scale[:, 0] * reach
+        below = reach
+        for k, (start, places) in enumerate(walk, start=1):
+            deeper = below[:, places[0]]
+            for place in places[1:]:
+                np.maximum(deeper, below[:, place], out=deeper)
+            below = deeper
+            np.maximum(at_depth[..., start:], scale[:, k] * below, out=at_depth[..., start:])
+        for targets, columns in self.updates:
+            (level, local), *rest = columns
+            best = at_depth[level, local]
+            for level, local in rest:
+                np.maximum(best[: len(level)], at_depth[level, local], out=best[: len(level)])
+            sim[targets, :n] = np.maximum(sim[targets, :n], best)
+
+
+class _LeafBlock(_Block):
+    def __init__(self, docs: NodeTable, queries: NodeTable, rows: range):
+        super().__init__(docs, queries, rows)
+        self.codes = _leaf_codes(docs, queries, rows)
+
+    def reach(self, sim: np.ndarray, docs: NodeTable, params: MetricParams) -> np.ndarray:
+        """``leaf_sim`` of these query leaves against every document leaf."""
+        values = np.array([0.0, params.delta, params.theta, params.zeta, params.mu, 1.0])
+        reach = np.zeros((len(self.rows), docs.size))
+        reach[:, : docs.leaves] = values[self.codes]
+        return reach
+
+
+class _ApplyBlock(_Block):
+    """Query applications of one height, with their argument places and greedy pairs.
+
+    Arguments are matched greedily where both heads are symbols and either is
+    commutative: ``q_index``/``d_index`` are those pairs, ordered by how many
+    arguments they match, most first.  ``greedy_d`` holds their document
+    argument lists, and ``greedy_q[i]`` the ``i``-th query argument of each
+    pair that matches more than ``i`` arguments: a prefix of the pairs.
+    """
+
+    def __init__(self, docs: NodeTable, queries: NodeTable, rows: range, symbols):
+        super().__init__(docs, queries, rows)
         apps = slice(rows.start - queries.leaves, rows.stop - queries.leaves)
-        reach[:, docs.leaves :] = _aligned_rows(sim, docs, queries, apps, params.omega, *symbols)
-    pairs = sorted((u, j, s - rows.start) for s in rows for j, u in queries.ancestors[s])
-    levels = sorted({j for _, j, _ in pairs})
-    scale = bounds[levels][:, :, None, None]
-    at_depth = scale[:, 0] * reach
-    for k in range(1, len(docs.level_start) - 1):
-        # Only applications of height k or more have descendants at depth k.
-        start = int(docs.level_start[k])
-        apps = slice(start - docs.leaves, None)
-        below = reach[:, docs.heads[apps]]
-        for place in docs.children[apps].T:
-            np.maximum(below, reach[:, place], out=below)
-        reach = np.zeros_like(reach)
-        reach[:, start:] = below
-        np.maximum(at_depth[..., start:], scale[:, k] * below, out=at_depth[..., start:])
-    level_of = {j: i for i, j in enumerate(levels)}
-    step = max(1, _CELLS // n)
-    for first in range(0, len(pairs), step):
-        us, js, local = zip(*pairs[first : first + step])
-        targets, starts = np.unique(us, return_index=True)
-        found = at_depth[[level_of[j] for j in js], list(local)]
-        sim[targets, :n] = np.maximum(sim[targets, :n], np.maximum.reduceat(found, starts, axis=0))
+        q_args, q_arity = queries.args[apps], queries.arity[apps]
+        self.heads = queries.heads[apps, None]
+        self.places = [(q_args[:, i, None], docs.args[None, :, i])
+                       for i in range(min(q_args.shape[1], docs.args.shape[1]))]
+        self.p = q_arity.astype(float)[:, None]
+        (d_symbol, d_commutative), (q_symbol, q_commutative) = symbols
+        greedy = (
+            (q_symbol[apps] & (q_arity > 0))[:, None]
+            & (d_symbol & (docs.arity > 0))[None, :]
+            & (q_commutative[apps, None] | d_commutative[None, :])
+        )
+        q_index, d_index = np.nonzero(greedy)
+        counts = np.minimum(q_arity[q_index], docs.arity[d_index])
+        order = np.argsort(-counts, kind="stable")
+        self.q_index, self.d_index, counts = q_index[order], d_index[order], counts[order]
+        matching = [int(np.count_nonzero(counts > i)) for i in range(int(counts.max(initial=0)))]
+        self.greedy_q = [q_args[self.q_index[:size], i, None] for i, size in enumerate(matching)]
+        self.greedy_d = docs.args[self.d_index]
+        self.padding = self.greedy_d == docs.size
+
+    def _greedy_sums(self, sim: np.ndarray) -> np.ndarray:
+        """``greedy_sum`` of each greedy pair."""
+        used = self.padding.copy()
+        total = np.zeros(len(self.q_index))
+        for q_place in self.greedy_q:
+            size = len(q_place)
+            rows = np.arange(size)
+            candidates = sim[q_place, self.greedy_d[:size]]
+            candidates[used[:size]] = -1.0
+            best = candidates.argmax(axis=1)
+            total[:size] += candidates[rows, best]
+            used[rows, best] = True
+        return total
+
+    def reach(self, sim: np.ndarray, docs: NodeTable, params: MetricParams) -> np.ndarray:
+        """Root-aligned score of these query applications against every document one."""
+        head = sim[self.heads, docs.heads[None, :]]
+        args = np.zeros_like(head)
+        for q_place, d_place in self.places:
+            args = args + sim[q_place, d_place]
+        if self.q_index.size:
+            args[self.q_index, self.d_index] = self._greedy_sums(sim)
+        omega = params.omega
+        alpha = omega / (self.p + omega)
+        beta = 1.0 / (self.p + omega)
+        aligned = alpha * head + beta * args
+        reach = np.zeros((len(self.rows), docs.size))
+        reach[:, docs.leaves :] = np.minimum(aligned, 1.0, out=aligned)
+        return reach
 
 
-def similarities(
-    docs: NodeTable,
-    queries: NodeTable,
-    params: MetricParams,
-    commutative: frozenset[tuple[str, str]],
-) -> np.ndarray:
-    """``sim`` of every query position (rows) against every document position.
+class Plan:
+    """Everything of scoring ``queries`` against ``docs`` that the parameters leave alone.
 
-    Temporary arrays are cut to about ``_CELLS`` floats, so memory grows with
-    query subtrees times document subtrees, not with the depth pairs.
+    Built once, a plan scores any number of parameter sets, each pass doing
+    only arithmetic: the blocks of query rows, with their ancestor pairs,
+    leaf score codes, argument places and greedy pairs, are fixed by the two
+    tables and ``commutative``.  A pass keeps nothing in the plan.
     """
-    n = docs.size
-    heights = len(queries.level_start) - 1
-    cp = [decay(params.cp_model(), j, params.epsilon) for j in range(heights)]
-    dp = [decay(params.dp_model(), k, params.epsilon) for k in range(len(docs.level_start) - 1)]
-    bounds = np.multiply.outer(cp, dp)
-    symbols = (docs.symbol_heads(commutative), queries.symbol_heads(commutative))
-    # A row holds the best candidate so far until its height is done, then
-    # the final score.  One padding row and column, both 0, stand for
-    # missing arguments.
-    sim = np.zeros((queries.size + 1, n + 1))
-    # Rows per pass: one row's temporaries hold a few times ``n`` floats per
-    # query depth and per argument place.
-    step = max(1, _CELLS // ((heights + docs.children.shape[1] + 3) * n))
-    for h in range(heights):
-        lo, hi = int(queries.level_start[h]), int(queries.level_start[h + 1])
-        # Every subtree of height h has its descendants done; rows of one
-        # height only need lower ones, so the block splits freely.
-        for first in range(lo, hi, step):
-            rows = range(first, min(first + step, hi))
-            _raise_ancestors(sim, docs, queries, rows, params, bounds, symbols)
-        np.minimum(sim[lo:hi, :n], 1.0, out=sim[lo:hi, :n])
-    return sim[: queries.size, :n]
+
+    def __init__(
+        self, docs: NodeTable, queries: NodeTable, commutative: frozenset[tuple[str, str]]
+    ):
+        self.docs, self.queries, self.commutative = docs, queries, commutative
+        n = docs.size
+        heights = len(queries.level_start) - 1
+        symbols = (docs.symbol_heads(commutative), queries.symbol_heads(commutative))
+        # Rows per pass: one row's temporaries hold a few times ``n`` floats per
+        # query depth and per argument place.
+        step = max(1, _CELLS // ((heights + docs.args.shape[1] + 3) * n))
+        self.heights = []
+        for h in range(heights):
+            lo, hi = int(queries.level_start[h]), int(queries.level_start[h + 1])
+            # Every subtree of height h has its descendants done; rows of one
+            # height only need lower ones, so the block splits freely.
+            blocks = [
+                _LeafBlock(docs, queries, rows) if h == 0
+                else _ApplyBlock(docs, queries, rows, symbols)
+                for rows in (range(first, min(first + step, hi)) for first in range(lo, hi, step))
+            ]
+            self.heights.append((slice(lo, hi), blocks))
+        self.root_index = np.ix_(queries.roots, docs.roots)
+
+    def __call__(self, params: MetricParams) -> np.ndarray:
+        """``sim`` of every query root (rows) against every document root.
+
+        Temporary arrays are cut to about ``_CELLS`` floats, so memory grows
+        with query subtrees times document subtrees, not with the depth pairs.
+        """
+        docs, queries = self.docs, self.queries
+        n = docs.size
+        heights = len(queries.level_start) - 1
+        cp = [decay(params.cp_model(), j, params.epsilon) for j in range(heights)]
+        dp = [decay(params.dp_model(), k, params.epsilon) for k in range(len(docs.level_start) - 1)]
+        bounds = np.multiply.outer(cp, dp)
+        # A row holds the best candidate so far until its height is done, then
+        # the final score.  One padding row and column, both 0, stand for
+        # missing arguments.
+        sim = np.zeros((queries.size + 1, n + 1))
+        for done, blocks in self.heights:
+            for block in blocks:
+                block.raise_ancestors(sim, block.reach(sim, docs, params), bounds, docs.walk)
+            np.minimum(sim[done, :n], 1.0, out=sim[done, :n])
+        return sim[self.root_index]

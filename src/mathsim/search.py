@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .engine import NodeTable, similarities
+from .engine import NodeTable, Plan
 from .mathml import ExprTree, FormulaClass, classify, parse_expression
 # score_document stays bound here: the benchmark's tracer wraps it in this module.
 from .metric import DEFAULT_COMMUTATIVE, MetricParams, SymbolConfig, score_document
@@ -76,13 +76,22 @@ class Corpus(tuple):
     """The records of one load, in id order, with their compiled node table.
 
     The table is built on the first search and kept with the records, so a
-    load pays for it at most once.  Searches also accept a plain sequence of
-    records, compiled afresh on every call.
+    load pays for it at most once.  A query set also keeps the scoring plan
+    of its last search (:class:`engine.Plan`), so every parameter set of a
+    tuning run scores through one plan; it is rebuilt when the documents'
+    table or the commutative set differs from the last one.  Searches also
+    accept a plain sequence of records, compiled afresh on every call.
     """
 
     @cached_property
     def table(self) -> NodeTable:
         return NodeTable([record.tree for record in self])
+
+    def plan(self, docs: NodeTable, commutative: frozenset[tuple[str, str]]) -> Plan:
+        plan = self.__dict__.get("_plan")
+        if plan is None or plan.docs is not docs or plan.commutative != commutative:
+            plan = self._plan = Plan(docs, self.table, commutative)
+        return plan
 
 
 def _discover(directory: str | Path) -> list[tuple[str, Path]]:
@@ -159,8 +168,12 @@ def _scores(
     commutative: frozenset[tuple[str, str]],
 ) -> list[list[float]]:
     """``score_document`` of every query against every document, as floats."""
-    compiled, docs = _table(queries), _table(corpus)
-    sims = similarities(docs, compiled, params, commutative)[np.ix_(compiled.roots, docs.roots)]
+    docs = _table(corpus)
+    if isinstance(queries, Corpus):
+        plan = queries.plan(docs, commutative)
+    else:
+        plan = Plan(docs, _table(queries), commutative)
+    sims = plan(params)
     weights = np.array([params.weight_for(d.formula_class) for d in corpus])
     return (sims * weights).tolist()
 

@@ -358,6 +358,15 @@ class TestExitCodes:
         assert "config error" in err and "seeds.split_seed" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("seed", ["-3", "1.5", "x"])
+    def test_bad_xval_seed_is_usage_error(self, tmp_path, capsys, seed):
+        # random.Random(-3) seeds like Random(3), so -3 would rerun split 3.
+        config = write_config(tmp_path)
+        assert main(["xval", "--config", str(config), "--seed", seed]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"argument --seed: must be an integer >= 0, got '{seed}'" in err
+        assert not (tmp_path / "out" / "xval.json").exists()
+
     @pytest.mark.parametrize("weights,field", [
         ({"rho": True, "tau": False}, "rho"), ({"tau": "1"}, "tau"),
     ], ids=["bool", "string"])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -511,3 +512,19 @@ class TestParallelPaths:
         assert list(pooled.runs) == list(serial.runs) == list(DECAY_KINDS)
         for kind, run in serial.runs.items():
             assert pooled.runs[kind].to_dict() == run.to_dict()
+
+    def test_objective_with_built_plan_pickles(
+        self, bundled_corpus, bundled_queries, bundled_truths, bundled_params,
+        bundled_symbols, mc_table,
+    ):
+        # A pool may receive an objective that has already scored: the plan
+        # kept on its queries travels with it, still keyed to its documents.
+        fn = SearchObjective(bundled_corpus, bundled_queries, bundled_truths, ObjectiveWeights(),
+                             bundled_symbols.commutative, mc_table)
+        other = bundled_params.with_value("omega", 3.1)
+        expected = [fn(bundled_params), fn(other)]
+        copy = pickle.loads(pickle.dumps(fn))
+        carried = vars(copy.queries)["_plan"]
+        assert carried.docs is copy.corpus.table
+        assert [copy(bundled_params), copy(other)] == expected
+        assert copy.queries.plan(copy.corpus.table, bundled_symbols.commutative) is carried

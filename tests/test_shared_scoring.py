@@ -8,12 +8,13 @@ bit for bit, what score_document gives for the pair on its own.
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mathsim import engine
-from mathsim.engine import NodeTable, similarities
+from mathsim.engine import NodeTable, Plan
 from mathsim.mathml import (
     Apply,
     Constant,
@@ -24,7 +25,7 @@ from mathsim.mathml import (
     parse_expression,
     serialize_expression,
 )
-from mathsim.metric import DECAY_KINDS, score_document, sim
+from mathsim.metric import DECAY_KINDS, DEFAULT_COMMUTATIVE, score_document, sim
 from mathsim.search import (
     Corpus,
     DocumentRecord,
@@ -234,31 +235,59 @@ def test_random_trees_equal_per_pair(docs, queries, params):
     )
 
 
+F, G, H = FunctionSymbol("f", "a"), FunctionSymbol("g", "a"), FunctionSymbol("h", "a")
+
+
+def f(*args):
+    return Apply(F, args)
+
+
+def g(*args):
+    return Apply(G, args)
+
+
+# At omega 3.1 this pair aligns a one-argument application one ulp above 1.
+UNPRUNABLE_QUERY = g(f(X), g(F, f(Y), f(X, F, X)))
+UNPRUNABLE_DOC = g(X, g(f(Y, f(Y), f(F))), X)
+
+
 def test_unprunable_omega_scored_by_reference():
     # At omega 3.1 a one-argument application can align one ulp above 1.
     # Unclamped, the reference's pruning shaped its result, and the engine's
     # all-pairs maximum differed from it in the last digit.  Both paths now
-    # clamp the aligned score, so similarities, sim and search() agree.
-    F, G, H = FunctionSymbol("f", "a"), FunctionSymbol("g", "a"), FunctionSymbol("h", "a")
-
-    def f(*args):
-        return Apply(F, args)
-
-    def g(*args):
-        return Apply(G, args)
-
+    # clamp the aligned score, so a scoring plan, sim and search() agree.
     params = make_params(zeta=1.0, omega=3.1, decay_model="linear", dp_rate=0.1, cp_rate=0.1)
     # f(x) aligns with itself one level down on both sides: 0.9 * 0.9 * 1.
     assert sim(g(f(X)), Apply(H, (f(X),)), params, frozenset()) == 0.81
-    query = g(f(X), g(F, f(Y), f(X, F, X)))
-    doc = g(X, g(f(Y, f(Y), f(F))), X)
+    query, doc = UNPRUNABLE_QUERY, UNPRUNABLE_DOC
     queries, docs = NodeTable([query]), NodeTable([doc])
     reference = sim(query, doc, params, frozenset())
-    engine = similarities(docs, queries, params, frozenset())[queries.roots[0], docs.roots[0]]
-    assert engine == reference
+    assert Plan(docs, queries, frozenset())(params)[0, 0] == reference
     corpus = plain_corpus([doc])
     scored = score_document(query, doc, corpus[0].formula_class, params, frozenset())
     assert search(query, corpus, params, 1, frozenset()).hits == (("d00", scored),)
+
+
+@pytest.mark.parametrize("cells", [None, 1], ids=["default-cells", "one-row"])
+@pytest.mark.parametrize("kind", DECAY_KINDS)
+def test_plan_keeps_no_state_between_passes(kind, cells, monkeypatch, bundled_symbols):
+    # One plan scores A, B, then A again; every pass must equal a fresh
+    # plan's and the per-pair reference's, bit for bit.
+    if cells is not None:
+        monkeypatch.setattr(engine, "_CELLS", cells)
+    commutative = bundled_symbols.commutative
+    assert ("arith1", "plus") in commutative
+    queries = EDGE_QUERIES + [UNPRUNABLE_QUERY]
+    docs = EDGE_DOCS + [UNPRUNABLE_DOC]
+    q_table, d_table = NodeTable(queries), NodeTable(docs)
+    first = make_params(zeta=1.0, omega=3.1, decay_model=kind, dp_rate=0.1, cp_rate=0.1)
+    second = random_params(random.Random(DECAY_KINDS.index(kind)), kind)
+    plan = Plan(d_table, q_table, commutative)
+    for params in (first, second, first):
+        got = plan(params)
+        assert got.tobytes() == Plan(d_table, q_table, commutative)(params).tobytes()
+        reference = np.array([[sim(q, d, params, commutative) for d in docs] for q in queries])
+        assert got.tobytes() == reference.tobytes()
 
 
 def test_deepest_accepted_tree_equals_per_pair(bundled_symbols):
@@ -291,5 +320,17 @@ def test_loaded_queries_compile_once(bundled_corpus, bundled_queries, bundled_pa
     expected = batch_search(list(bundled_queries), bundled_corpus, bundled_params, sizes)
     assert batch_search(bundled_queries, bundled_corpus, bundled_params, sizes) == expected
     table, ancestors = bundled_queries.table, bundled_queries.table.ancestors
+    plan = bundled_queries.plan(bundled_corpus.table, DEFAULT_COMMUTATIVE)
     assert batch_search(bundled_queries, bundled_corpus, bundled_params, sizes) == expected
     assert bundled_queries.table is table and table.ancestors is ancestors
+    assert bundled_queries.plan(bundled_corpus.table, DEFAULT_COMMUTATIVE) is plan
+    # Other documents or another commutative set must never meet a stale plan.
+    fewer = Corpus(bundled_corpus[::2])
+    for corpus, commutative in [
+        (bundled_corpus, frozenset()), (fewer, frozenset()), (fewer, DEFAULT_COMMUTATIVE),
+        (list(bundled_corpus), DEFAULT_COMMUTATIVE), (bundled_corpus, DEFAULT_COMMUTATIVE),
+    ]:
+        fresh = batch_search(list(bundled_queries), corpus, bundled_params, sizes, commutative)
+        assert batch_search(bundled_queries, corpus, bundled_params, sizes, commutative) == fresh
+    in_order = batch_search(bundled_queries, bundled_corpus, bundled_params, sizes, frozenset())
+    assert in_order != expected
