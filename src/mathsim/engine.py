@@ -12,8 +12,8 @@ the query table and the commutative symbols, holds all that the parameters
 leave alone: blocks of query rows with their ancestor pairs, leaf score
 codes, argument places, arities and greedy pairs; the document table keeps
 the gather lists of the walk down its depths.  Calling the plan with a
-parameter set is then arithmetic only, so a tuning run pays for the plan
-once.
+parameter set is then gathers and arithmetic only, so a tuning run pays for
+the plan once.
 
 Every score equals the reference bit for bit, because the engine does the
 same floating-point operations on the same values:
@@ -293,9 +293,9 @@ class _ApplyBlock(_Block):
 
     Arguments are matched greedily where both heads are symbols and either is
     commutative: ``q_index``/``d_index`` are those pairs, ordered by how many
-    arguments they match, most first.  ``greedy_d`` holds their document
-    argument lists, and ``greedy_q[i]`` the ``i``-th query argument of each
-    pair that matches more than ``i`` arguments: a prefix of the pairs.
+    arguments they match, most first, and ``greedy_q[i]`` holds the ``i``-th
+    query argument of each pair that matches more than ``i`` arguments: a
+    prefix of the pairs.
     """
 
     def __init__(self, docs: NodeTable, queries: NodeTable, rows: range, symbols):
@@ -318,17 +318,18 @@ class _ApplyBlock(_Block):
         self.q_index, self.d_index, counts = q_index[order], d_index[order], counts[order]
         matching = [int(np.count_nonzero(counts > i)) for i in range(int(counts.max(initial=0)))]
         self.greedy_q = [q_args[self.q_index[:size], i, None] for i, size in enumerate(matching)]
-        self.greedy_d = docs.args[self.d_index]
-        self.padding = self.greedy_d == docs.size
 
-    def _greedy_sums(self, sim: np.ndarray) -> np.ndarray:
+    def _greedy_sums(self, sim: np.ndarray, docs: NodeTable) -> np.ndarray:
         """``greedy_sum`` of each greedy pair."""
-        used = self.padding.copy()
+        # Gathered per pass: kept in the plan, the document argument lists of
+        # every block at once would outweigh one block's temporaries.
+        d_args = docs.args[self.d_index]
+        used = d_args == docs.size
         total = np.zeros(len(self.q_index))
         for q_place in self.greedy_q:
             size = len(q_place)
             rows = np.arange(size)
-            candidates = sim[q_place, self.greedy_d[:size]]
+            candidates = sim[q_place, d_args[:size]]
             candidates[used[:size]] = -1.0
             best = candidates.argmax(axis=1)
             total[:size] += candidates[rows, best]
@@ -342,7 +343,7 @@ class _ApplyBlock(_Block):
         for q_place, d_place in self.places:
             args = args + sim[q_place, d_place]
         if self.q_index.size:
-            args[self.q_index, self.d_index] = self._greedy_sums(sim)
+            args[self.q_index, self.d_index] = self._greedy_sums(sim, docs)
         omega = params.omega
         alpha = omega / (self.p + omega)
         beta = 1.0 / (self.p + omega)
@@ -356,9 +357,10 @@ class Plan:
     """Everything of scoring ``queries`` against ``docs`` that the parameters leave alone.
 
     Built once, a plan scores any number of parameter sets, each pass doing
-    only arithmetic: the blocks of query rows, with their ancestor pairs,
-    leaf score codes, argument places and greedy pairs, are fixed by the two
-    tables and ``commutative``.  A pass keeps nothing in the plan.
+    only gathers and arithmetic: the blocks of query rows, with their
+    ancestor pairs, leaf score codes, argument places and greedy pairs, are
+    fixed by the two tables and ``commutative``.  A pass keeps nothing in
+    the plan.
     """
 
     def __init__(
