@@ -4,8 +4,15 @@ Per query: overall recall, top-10 recall, Spearman's rho and Kendall's tau
 between the hit list and the truth ranking, plus significance flags at the
 95% and 99% confidence levels.  Correlations are computed over the truth
 items only; truth items missing from a hit list share the averaged rank of
-the positions they would occupy after the list's end.  Critical values come
-from seeded Monte Carlo permutation sampling and can be cached to disk.
+the positions they would occupy after the list's end.
+
+:func:`evaluate` looks each truth item up in its hit list once, giving the
+query's present count, top-10 overlap and rank vector.  The rank vectors of
+queries with equal truth size are stacked into one array, and rho's squared
+rank differences and tau's pairwise signs are summed for the whole stack.
+Ranks are kept doubled, so the shared absent rank is an integer and both
+sums are exact.  Critical values come from seeded Monte Carlo permutation
+sampling, are looked up once per truth size, and can be cached to disk.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -52,24 +59,35 @@ class GroundTruth:
             raise ValueError(f"ground truth for {self.query_id!r} repeats a document id")
 
 
+def _by_query(records: Iterable, what: str) -> dict:
+    """``records`` keyed by query id, in order; a query id seen twice is an error."""
+    out = {}
+    for record in records:
+        if record.query_id in out:
+            raise ValueError(f"{what} for query {record.query_id!r} given twice")
+        out[record.query_id] = record
+    return out
+
+
 def truth_sizes(query_ids: Iterable[str], truths: Iterable[GroundTruth]) -> dict[str, int]:
     """Hit-list size of each query, in query order: the length of its ground truth.
 
     Queries and truths must pair up one to one; otherwise one error names
-    every query without a truth and every truth without a query.
+    every query without a truth and every truth without a query.  A query
+    with two truths is an error too.
     """
     query_ids = list(query_ids)
-    sizes = {t.query_id: len(t.ranked_ids) for t in truths}
+    truth_by_id = _by_query(truths, "ground truth")
     problems = []
-    missing_truth = sorted(set(query_ids) - sizes.keys())
+    missing_truth = sorted(set(query_ids) - truth_by_id.keys())
     if missing_truth:
         problems.append(f"queries without ground truth: {', '.join(missing_truth)}")
-    missing_query = sorted(sizes.keys() - set(query_ids))
+    missing_query = sorted(truth_by_id.keys() - set(query_ids))
     if missing_query:
         problems.append(f"ground truth without queries: {', '.join(missing_query)}")
     if problems:
         raise ValueError("; ".join(problems))
-    return {query_id: sizes[query_id] for query_id in query_ids}
+    return {query_id: len(truth_by_id[query_id].ranked_ids) for query_id in query_ids}
 
 
 @dataclass(frozen=True)
@@ -105,56 +123,65 @@ class EvalReport:
     averages: AverageRow
 
 
+def _match(hits: HitList, truth: GroundTruth) -> tuple[int, int, list[int]]:
+    """Look each truth item up in the hit list, once.
+
+    Returns the number of truth items present, how many of the truth's top
+    m (m = min(10, |truth|)) are in the hits' top 10, and each truth item's
+    rank in the hit list, doubled, in truth order.  Items absent from the
+    hits share the average of the ranks just past the list's end, which
+    keeps both correlation statistics defined and penalises misses
+    smoothly; doubling makes that shared rank an integer.
+    """
+    position = {doc_id: place for place, (doc_id, _) in enumerate(hits.hits, start=1)}
+    places = [position.get(doc_id, 0) for doc_id in truth.ranked_ids]
+    absent = places.count(0)
+    top10 = sum(0 < place <= 10 for place in places[:10])
+    shared = 2 * len(hits.hits) + absent + 1
+    return len(places) - absent, top10, [2 * place if place else shared for place in places]
+
+
+def _correlations(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spearman's rho and Kendall's tau of each row of doubled ranks against 1..n.
+
+    The squared rank differences are quarter-integers and the pair signs
+    integers, so both sums are exact; the divisions are the only rounding.
+    Absent truth items take ranks past the list's end, which can push the
+    raw rho below -1; it is clamped there, so heavy misses saturate at full
+    anticorrelation (rho cannot exceed 1).  Pairs tied by the shared
+    absent rank count as neither concordant nor discordant.
+    """
+    n = ranks.shape[1]
+    truth_ranks = np.arange(2, 2 * n + 1, 2)
+    diff = ranks - truth_ranks
+    d_sq = np.einsum("qi,qi->q", diff, diff) / 4
+    rho = np.maximum(1.0 - 6.0 * d_sq / (n * (n * n - 1)), -1.0)
+    # The ordered pair (i, j) scores sign(j - i) when item i ranks above
+    # item j, so each unordered pair nets +1, -1 or, when tied, 0.
+    above = ranks[:, :, None] < ranks[:, None, :]
+    net = np.einsum("qij,ij->q", above, np.sign(truth_ranks - truth_ranks[:, None]))
+    tau = net / (n * (n - 1) / 2)
+    return rho, tau
+
+
 def overall_recall(hits: HitList, truth: GroundTruth) -> float:
     """Fraction of the ground truth present anywhere in the hit list."""
-    return len(set(hits.doc_ids()) & set(truth.ranked_ids)) / len(truth.ranked_ids)
+    return _match(hits, truth)[0] / len(truth.ranked_ids)
 
 
 def top10_recall(hits: HitList, truth: GroundTruth) -> float:
     """Fraction of the truth's top m found in the hits' top 10 (m = min(10, |truth|))."""
-    m = min(10, len(truth.ranked_ids))
-    return len(set(hits.doc_ids()[:10]) & set(truth.ranked_ids[:m])) / m
-
-
-def _assigned_ranks(hits: HitList, truth: GroundTruth) -> list[float]:
-    """Rank of each truth item within the hit list, in truth order.
-
-    Items absent from the hits share the average of the ranks just past the
-    list's end, which keeps both correlation statistics defined and penalises
-    misses smoothly.
-    """
-    position = {doc_id: i + 1 for i, doc_id in enumerate(hits.doc_ids())}
-    absent = [doc_id for doc_id in truth.ranked_ids if doc_id not in position]
-    length = len(hits.doc_ids())
-    shared = length + (len(absent) + 1) / 2.0
-    return [position.get(doc_id, shared) for doc_id in truth.ranked_ids]
+    return _match(hits, truth)[1] / min(10, len(truth.ranked_ids))
 
 
 def spearman_rho(hits: HitList, truth: GroundTruth) -> float:
-    """Spearman rank correlation between truth order and hit-list order.
-
-    Absent truth items take ranks past the list's end, which can push the
-    raw statistic below -1; the result is clamped to the declared [-1, 1]
-    range so heavy misses saturate at full anticorrelation.
-    """
-    n = len(truth.ranked_ids)
-    assigned = _assigned_ranks(hits, truth)
-    d_sq = sum((truth_rank - got) ** 2 for truth_rank, got in enumerate(assigned, start=1))
-    return max(-1.0, min(1.0, 1.0 - 6.0 * d_sq / (n * (n * n - 1))))
+    """Spearman rank correlation between truth order and hit-list order, clamped to [-1, 1]."""
+    return _correlations(np.array([_match(hits, truth)[2]]))[0].item()
 
 
 def kendall_tau(hits: HitList, truth: GroundTruth) -> float:
     """Kendall rank correlation; pairs tied by a shared absent rank count as neither."""
-    n = len(truth.ranked_ids)
-    assigned = _assigned_ranks(hits, truth)
-    concordant = discordant = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if assigned[i] < assigned[j]:
-                concordant += 1
-            elif assigned[i] > assigned[j]:
-                discordant += 1
-    return (concordant - discordant) / (n * (n - 1) / 2)
+    return _correlations(np.array([_match(hits, truth)[2]]))[1].item()
 
 
 def _tail_threshold(samples: np.ndarray, alpha: float) -> float:
@@ -295,50 +322,42 @@ def evaluate(
 
     Significance flags compare |rho| and |tau| against ``table``'s critical
     value for that query's truth size; truth sizes outside the supported
-    table range are reported as not significant.
+    table range are reported as not significant.  A query id given twice,
+    among the hit lists or among the truths, is an error.
     """
-    truth_by_id = {}
-    for truth in truths:
-        truth_by_id[truth.query_id] = truth
-    rows = []
-    for hl in hitlists:
+    truth_by_id = _by_query(truths, "ground truth")
+    hitlists = list(_by_query(hitlists, "hit list").values())
+    matches = []
+    by_size: dict[int, list[int]] = {}
+    for index, hl in enumerate(hitlists):
         truth = truth_by_id.get(hl.query_id)
         if truth is None:
             raise ValueError(f"no ground truth for query {hl.query_id!r}")
-        n = len(truth.ranked_ids)
-        rho = spearman_rho(hl, truth)
-        tau = kendall_tau(hl, truth)
-        flags = {}
-        for stat, value in (("rho", rho), ("tau", tau)):
-            for level in (95, 99):
-                if MIN_TABLE_N <= n <= MAX_TABLE_N:
-                    flags[f"{stat}_sig_{level}"] = abs(value) >= table.critical_value(
-                        stat, n, level
-                    )
-                else:
-                    flags[f"{stat}_sig_{level}"] = False
-        rows.append(
-            QueryEvaluation(
-                query_id=hl.query_id,
-                overall_recall=overall_recall(hl, truth),
-                top10_recall=top10_recall(hl, truth),
-                rho=rho,
-                tau=tau,
-                **flags,
-            )
-        )
-    if not rows:
+        matches.append(_match(hl, truth))
+        by_size.setdefault(len(truth.ranked_ids), []).append(index)
+    if not matches:
         raise ValueError("nothing to evaluate: no hit lists given")
-    count = len(rows)
+    count = len(matches)
+    # Per query: rho, tau and the four flags, filled one truth size at a time.
+    stats: list = [None] * count
+    for n, indices in by_size.items():
+        rho, tau = _correlations(np.array([matches[i][2] for i in indices]))
+        if MIN_TABLE_N <= n <= MAX_TABLE_N:
+            flags = [
+                (abs(values) >= table.critical_value(stat, n, level)).tolist()
+                for stat, values in (("rho", rho), ("tau", tau))
+                for level in (95, 99)
+            ]
+        else:
+            flags = [[False] * len(indices)] * 4
+        for i, row in zip(indices, zip(rho.tolist(), tau.tolist(), *flags)):
+            stats[i] = row
+    rows = []
+    for hl, (present, top10, ranks), row in zip(hitlists, matches, stats):
+        n = len(ranks)
+        rows.append(QueryEvaluation(hl.query_id, present / n, top10 / min(10, n), *row))
     averages = AverageRow(
-        overall_recall=sum(r.overall_recall for r in rows) / count,
-        top10_recall=sum(r.top10_recall for r in rows) / count,
-        rho=sum(r.rho for r in rows) / count,
-        tau=sum(r.tau for r in rows) / count,
-        rho_sig_95=sum(r.rho_sig_95 for r in rows) / count,
-        rho_sig_99=sum(r.rho_sig_99 for r in rows) / count,
-        tau_sig_95=sum(r.tau_sig_95 for r in rows) / count,
-        tau_sig_99=sum(r.tau_sig_99 for r in rows) / count,
+        **{col: sum(getattr(r, col) for r in rows) / count for col in _REPORT_COLUMNS[1:]}
     )
     return EvalReport(tuple(rows), averages)
 
@@ -379,9 +398,10 @@ def report_to_csv_text(report: EvalReport) -> str:
 
 
 def write_report_json(report: EvalReport, path: str | Path) -> None:
+    # The dataclasses hold only flat scalars, so their field dicts serialise as they are.
     payload = {
-        "queries": [asdict(row) for row in report.queries],
-        "averages": asdict(report.averages),
+        "queries": [vars(row) for row in report.queries],
+        "averages": vars(report.averages),
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 

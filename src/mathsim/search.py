@@ -75,17 +75,22 @@ class HitList:
 class Corpus(tuple):
     """The records of one load, in id order, with their compiled node table.
 
-    The table is built on the first search and kept with the records, so a
-    load pays for it at most once.  A query set also keeps the scoring plan
-    of its last search (:class:`engine.Plan`), so every parameter set of a
-    tuning run scores through one plan; it is rebuilt when the documents'
-    table or the commutative set differs from the last one.  Searches also
-    accept a plain sequence of records, compiled afresh on every call.
+    The table, and a document set's class indices and id ranks, are built
+    on the first search and kept with the records, so a load pays for them
+    at most once.  A query set also keeps the scoring plan of its last
+    search (:class:`engine.Plan`), so every parameter set of a tuning run
+    scores through one plan; it is rebuilt when the documents' table or the
+    commutative set differs from the last one.  Searches also accept a
+    plain sequence of records, compiled afresh on every call.
     """
 
     @cached_property
     def table(self) -> NodeTable:
         return NodeTable([record.tree for record in self])
+
+    @cached_property
+    def ranking(self) -> tuple[np.ndarray, np.ndarray]:
+        return _ranking(self)
 
     def plan(self, docs: NodeTable, commutative: frozenset[tuple[str, str]]) -> Plan:
         plan = self.__dict__.get("_plan")
@@ -161,26 +166,45 @@ def _table(records: Sequence) -> NodeTable:
     return records.table if isinstance(records, Corpus) else NodeTable([r.tree for r in records])
 
 
-def _scores(
+_CLASSES = tuple(FormulaClass)
+
+
+def _ranking(corpus: Sequence[DocumentRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Each document's index into ``_CLASSES`` and its rank by ``doc_id`` (stable)."""
+    classes = np.array([_CLASSES.index(d.formula_class) for d in corpus], dtype=np.intp)
+    by_id = sorted(range(len(corpus)), key=lambda i: corpus[i].doc_id)
+    id_rank = np.empty(len(corpus), dtype=np.intp)
+    id_rank[by_id] = np.arange(len(corpus))
+    return classes, id_rank
+
+
+def _hitlists(
     queries: Sequence[Query],
     corpus: Sequence[DocumentRecord],
     params: MetricParams,
     commutative: frozenset[tuple[str, str]],
-) -> list[list[float]]:
-    """``score_document`` of every query against every document, as floats."""
+    sizes: Sequence[int],
+) -> list[HitList]:
+    """Score every query against every document and keep each query's best.
+
+    Scores are ``score_document``'s; each query's ``n`` best documents are
+    ordered by descending score, then ascending doc_id, whatever the order
+    of the records.
+    """
     docs = _table(corpus)
     if isinstance(queries, Corpus):
         plan = queries.plan(docs, commutative)
     else:
         plan = Plan(docs, _table(queries), commutative)
-    sims = plan(params)
-    weights = np.array([params.weight_for(d.formula_class) for d in corpus])
-    return (sims * weights).tolist()
-
-
-def _ranked(query_id: str, corpus: Sequence[DocumentRecord], scores: list[float], n: int) -> HitList:
-    scored = sorted(zip((d.doc_id for d in corpus), scores), key=lambda pair: (-pair[1], pair[0]))
-    return HitList(query_id, tuple(scored[:n]), n)
+    classes, id_rank = corpus.ranking if isinstance(corpus, Corpus) else _ranking(corpus)
+    weights = np.array([params.weight_for(c) for c in _CLASSES])
+    scores = plan(params) * weights[classes]
+    hitlists = []
+    for query, row, n in zip(queries, scores, sizes):
+        top = np.lexsort((id_rank, -row))[:n]
+        hits = zip([corpus[i].doc_id for i in top.tolist()], row[top].tolist())
+        hitlists.append(HitList(query.query_id, tuple(hits), n))
+    return hitlists
 
 
 def _check_search(corpus: Sequence[DocumentRecord], n: int) -> None:
@@ -205,8 +229,7 @@ def search(
     :func:`score_document`, computed for all documents at once.
     """
     _check_search(corpus, n)
-    scores = _scores([Query(query_id, query)], corpus, params, commutative)[0]
-    return _ranked(query_id, corpus, scores, n)
+    return _hitlists([Query(query_id, query)], corpus, params, commutative, [n])[0]
 
 
 def batch_search(
@@ -227,11 +250,8 @@ def batch_search(
         _check_search(corpus, n_per_query[q.query_id])
     if not queries:
         return []
-    scores = _scores(queries, corpus, params, commutative)
-    return [
-        _ranked(q.query_id, corpus, row, n_per_query[q.query_id])
-        for q, row in zip(queries, scores)
-    ]
+    sizes = [n_per_query[q.query_id] for q in queries]
+    return _hitlists(queries, corpus, params, commutative, sizes)
 
 
 def write_hitlists_csv(hitlists: Sequence[HitList], path: str | Path) -> None:

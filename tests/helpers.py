@@ -10,8 +10,18 @@ from typing import Sequence
 import numpy as np
 from hypothesis import strategies as st
 
+from mathsim.evaluation import (
+    MAX_TABLE_N,
+    MIN_TABLE_N,
+    AverageRow,
+    CriticalValueTable,
+    EvalReport,
+    GroundTruth,
+    QueryEvaluation,
+)
 from mathsim.mathml import Apply, Constant, ExprTree, FunctionSymbol, Variable
 from mathsim.metric import DECAY_KINDS, DEFAULT_COMMUTATIVE, MetricParams, _SimContext
+from mathsim.search import HitList
 
 CDS = ("arith1", "transc1", "setops")
 FUNC_NAMES = ("plus", "times", "sin", "cos", "minus")
@@ -157,6 +167,72 @@ def tau_from_ranks_pairwise(perms: np.ndarray, n: int) -> np.ndarray:
         signs = np.sign(block[:, upper_j] - block[:, upper_i])
         out[start : start + len(block)] = signs.sum(axis=1, dtype=np.int64) / pair_count
     return out
+
+
+def assigned_ranks_pairwise(hits: HitList, truth: GroundTruth) -> list[float]:
+    """Rank of each truth item within the hit list, in truth order.
+
+    Items absent from the hits share the average of the ranks just past the
+    list's end.
+    """
+    position = {doc_id: i + 1 for i, doc_id in enumerate(hits.doc_ids())}
+    absent = [doc_id for doc_id in truth.ranked_ids if doc_id not in position]
+    length = len(hits.doc_ids())
+    shared = length + (len(absent) + 1) / 2.0
+    return [position.get(doc_id, shared) for doc_id in truth.ranked_ids]
+
+
+def spearman_rho_pairwise(hits: HitList, truth: GroundTruth) -> float:
+    """Spearman's rho from the squared rank differences, clamped to [-1, 1]."""
+    n = len(truth.ranked_ids)
+    assigned = assigned_ranks_pairwise(hits, truth)
+    d_sq = sum((truth_rank - got) ** 2 for truth_rank, got in enumerate(assigned, start=1))
+    return max(-1.0, min(1.0, 1.0 - 6.0 * d_sq / (n * (n * n - 1))))
+
+
+def kendall_tau_pairwise(hits: HitList, truth: GroundTruth) -> float:
+    """Kendall's tau by comparing every pair; pairs tied at the absent rank count as neither."""
+    n = len(truth.ranked_ids)
+    assigned = assigned_ranks_pairwise(hits, truth)
+    concordant = discordant = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if assigned[i] < assigned[j]:
+                concordant += 1
+            elif assigned[i] > assigned[j]:
+                discordant += 1
+    return (concordant - discordant) / (n * (n - 1) / 2)
+
+
+def evaluate_pairwise(
+    hitlists: Sequence[HitList], truths: Sequence[GroundTruth], table: CriticalValueTable
+) -> EvalReport:
+    """``evaluate`` one query and one statistic at a time, with set-based recalls."""
+    truth_by_id = {truth.query_id: truth for truth in truths}
+    rows = []
+    for hl in hitlists:
+        truth = truth_by_id[hl.query_id]
+        n = len(truth.ranked_ids)
+        m = min(10, n)
+        rho = spearman_rho_pairwise(hl, truth)
+        tau = kendall_tau_pairwise(hl, truth)
+        flags = [
+            MIN_TABLE_N <= n <= MAX_TABLE_N and abs(value) >= table.critical_value(stat, n, level)
+            for stat, value in (("rho", rho), ("tau", tau))
+            for level in (95, 99)
+        ]
+        rows.append(QueryEvaluation(
+            hl.query_id,
+            len(set(hl.doc_ids()) & set(truth.ranked_ids)) / n,
+            len(set(hl.doc_ids()[:10]) & set(truth.ranked_ids[:m])) / m,
+            rho,
+            tau,
+            *flags,
+        ))
+    count = len(rows)
+    columns = [f for f in vars(rows[0]) if f != "query_id"]
+    averages = AverageRow(**{f: sum(getattr(r, f) for r in rows) / count for f in columns})
+    return EvalReport(tuple(rows), averages)
 
 
 def exhaustive_critical_value(statistic: str, n: int, alpha: float) -> float:

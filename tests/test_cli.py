@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,10 @@ from mathsim.metric import DECAY_KINDS
 
 ASSETS = Path(__file__).resolve().parent.parent / "assets"
 REFERENCE_OUT = ASSETS.parent / "out"
+# Truth sizes 2..70 and hit lists with full, partial and no overlap, some
+# shorter and some longer than their truth; report.csv and report.json are
+# what the per-query pairwise evaluation wrote for them.
+EVALUATE_GOLDEN = Path(__file__).resolve().parent / "data" / "evaluate_golden"
 
 
 def nested_minus(depth):
@@ -139,6 +144,21 @@ class TestEvaluateCommand:
         first = (tmp_path / "out" / "report.csv").read_bytes()
         main(["evaluate", "--config", str(config)])
         assert (tmp_path / "out" / "report.csv").read_bytes() == first
+
+    def test_external_hitlists_match_golden_reports(self, tmp_path, capsys):
+        config = write_config(tmp_path, truth_file=str(EVALUATE_GOLDEN / "truth.csv"))
+        # The seed-7151 table, pinned by test_evaluation, saves a cold fill.
+        (tmp_path / "out").mkdir()
+        shutil.copy(Path(__file__).parent / "critical_values_seed7151.json",
+                    tmp_path / "out" / "critical_values.json")
+        code = main(["evaluate", "--config", str(config), "--hitlists",
+                     str(EVALUATE_GOLDEN / "hitlists.csv")])
+        assert code == EXIT_OK
+        for name in ("report.csv", "report.json"):
+            expected = (EVALUATE_GOLDEN / name).read_bytes()
+            assert (tmp_path / "out" / name).read_bytes() == expected, name
+        printed = capsys.readouterr().out
+        assert printed == (EVALUATE_GOLDEN / "report.csv").read_text(encoding="utf-8")
 
     def test_external_hitlists_path(self, tmp_path):
         config = write_config(tmp_path)

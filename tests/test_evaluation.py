@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mathsim import evaluation
 from mathsim.evaluation import (
@@ -22,7 +24,14 @@ from mathsim.evaluation import (
 )
 from mathsim.search import HitList
 
-from helpers import exhaustive_critical_value, rho_from_ranks_pairwise, tau_from_ranks_pairwise
+from helpers import (
+    evaluate_pairwise,
+    exhaustive_critical_value,
+    kendall_tau_pairwise,
+    rho_from_ranks_pairwise,
+    spearman_rho_pairwise,
+    tau_from_ranks_pairwise,
+)
 
 # Every (stat, n, level) of the seed-7151 table, as the pairwise sign count
 # and squared-difference sum computed them.
@@ -81,6 +90,11 @@ class TestTruthSizes:
         truths = [truth_of("a", "b", query_id="q1"), truth_of("a", "b", "c", query_id="q2")]
         sizes = truth_sizes(["q2", "q1"], truths)
         assert list(sizes.items()) == [("q2", 3), ("q1", 2)]
+
+    def test_repeated_truth_rejected(self):
+        truths = [truth_of("a", "b", query_id="q"), truth_of("x", "y", query_id="q")]
+        with pytest.raises(ValueError, match="ground truth for query 'q' given twice"):
+            truth_sizes(["q"], truths)
 
     def test_every_mismatch_named_in_one_error(self):
         truths = [truth_of("a", "b", query_id=q) for q in ("q1", "t2", "t1")]
@@ -308,6 +322,19 @@ class TestEvaluate:
                 [hits_of("a", query_id="mystery")], [truth_of("a", "b", query_id="other")], mc_table
             )
 
+    def test_repeated_truth_rejected(self, mc_table):
+        # The second truth used to replace the first without a word.
+        truths = [truth_of("a", "b", query_id="q"), truth_of("x", "y", query_id="q")]
+        with pytest.raises(ValueError, match="ground truth for query 'q' given twice"):
+            evaluate([hits_of("a", "b")], truths, mc_table)
+
+    def test_repeated_hitlist_rejected(self, mc_table):
+        # A hit list given twice used to count twice in the averages.
+        hits = [hits_of("a", "b"), hits_of("x", "y", query_id="r"), hits_of("b", "a")]
+        truths = [truth_of("a", "b"), truth_of("a", "b", query_id="r")]
+        with pytest.raises(ValueError, match="hit list for query 'q' given twice"):
+            evaluate(hits, truths, mc_table)
+
     def test_small_truth_skips_significance(self, mc_table):
         report = evaluate([hits_of("a", "b")], [truth_of("a", "b")], mc_table)
         row = report.queries[0]
@@ -342,3 +369,48 @@ class TestEvaluate:
         path = tmp_path / "report.json"
         write_report_json(report, path)
         assert '"averages"' in path.read_text()
+
+
+@st.composite
+def evaluation_inputs(draw):
+    """Hit lists and truths with sizes 2..70, some sizes shared between queries.
+
+    Each hit list keeps all, some or none of its truth, mixed with documents
+    outside it, and may be cut short, so several truth items can share the
+    absent rank.
+    """
+    sizes = draw(st.lists(st.integers(2, 70), min_size=1, max_size=3))
+    hitlists, truths = [], []
+    for k in range(draw(st.integers(1, 5))):
+        query_id = f"q{k}"
+        n = draw(st.sampled_from(sizes))
+        truth = [f"t{i}" for i in range(n)]
+        overlap = draw(st.sampled_from(["none", "some", "all"]))
+        if overlap == "some":
+            kept = [doc for doc in truth if draw(st.booleans())]
+        else:
+            kept = truth if overlap == "all" else []
+        others = [f"x{i}" for i in range(draw(st.integers(0 if kept else 1, 30)))]
+        ranked = draw(st.permutations(kept + others))
+        ranked = ranked[: draw(st.integers(1, len(ranked)))]
+        scored = tuple((doc, 1.0 - i / 128) for i, doc in enumerate(ranked))
+        hitlists.append(HitList(query_id, scored, len(scored)))
+        truths.append(GroundTruth(query_id, tuple(draw(st.permutations(truth)))))
+    return hitlists, truths
+
+
+class TestArrayPassMatchesPairwise:
+    @settings(max_examples=150, deadline=None)
+    @given(evaluation_inputs())
+    def test_fields_equal_pairwise_oracle(self, mc_table, inputs):
+        hitlists, truths = inputs
+        report = evaluate(hitlists, truths, mc_table)
+        expected = evaluate_pairwise(hitlists, truths, mc_table)
+        assert len(report.queries) == len(expected.queries)
+        for got, want in zip(report.queries, expected.queries):
+            assert vars(got) == vars(want)
+            assert all(type(value) is type(vars(want)[f]) for f, value in vars(got).items())
+        assert vars(report.averages) == vars(expected.averages)
+        for hits, truth in zip(hitlists, truths):
+            assert spearman_rho(hits, truth) == spearman_rho_pairwise(hits, truth)
+            assert kendall_tau(hits, truth) == kendall_tau_pairwise(hits, truth)

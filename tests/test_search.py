@@ -127,11 +127,25 @@ class TestSearch:
         assert scores == sorted(scores, reverse=True)
 
     def test_equal_scores_tie_break_by_doc_id(self, tmp_path):
-        write_expr(tmp_path / "zz.xml", "<ci>y</ci>")
-        write_expr(tmp_path / "aa.xml", "<ci>y</ci>")
+        for name in ("zz", "aa", "mm"):
+            write_expr(tmp_path / f"{name}.xml", "<ci>y</ci>")
         corpus = load_corpus(tmp_path)
-        hl = search(Y, corpus, make_params(), 2)
-        assert hl.doc_ids() == ("aa", "zz")
+        # A plain sequence of records in any order ranks the same way.
+        for records in (corpus, list(corpus)[::-1], [corpus[2], corpus[0], corpus[1]]):
+            assert search(Y, records, make_params(), 3).doc_ids() == ("aa", "mm", "zz")
+
+    def test_record_order_does_not_change_hits(
+        self, bundled_corpus, bundled_params, bundled_queries
+    ):
+        sizes = {q.query_id: len(bundled_corpus) for q in bundled_queries}
+        expected = batch_search(bundled_queries, bundled_corpus, bundled_params, sizes)
+        shuffled = list(bundled_corpus)
+        random.Random(11).shuffle(shuffled)
+        assert batch_search(bundled_queries, shuffled, bundled_params, sizes) == expected
+        query = bundled_queries[0]
+        assert search(query.tree, shuffled, bundled_params, 7, query_id=query.query_id) == (
+            search(query.tree, bundled_corpus, bundled_params, 7, query_id=query.query_id)
+        )
 
     def test_invalid_n(self, bundled_corpus, bundled_params):
         with pytest.raises(ValueError):
