@@ -13,7 +13,10 @@ leave alone: blocks of query rows with their ancestor pairs, leaf score
 codes, argument places, arities and greedy pairs; the document table keeps
 the gather lists of the walk down its depths.  Calling the plan with a
 parameter set is then gathers and arithmetic only, so a tuning run pays for
-the plan once.
+the plan once.  The gathers of the walk, the application reach and the
+ancestor updates are single-axis ``take`` calls over 1-D indexes the plan
+holds: on blocks of one or two rows, numpy's 2-D fancy indexing costs
+several times more per call.
 
 Every score equals the reference bit for bit, because the engine does the
 same floating-point operations on the same values:
@@ -141,6 +144,7 @@ class NodeTable:
         self.args = np.full((len(children), width), self.size, dtype=np.intp)
         for a, c in enumerate(children):
             self.args[a, : len(c) - 1] = c[1:]
+        self._symbol_heads: dict[frozenset, tuple[np.ndarray, np.ndarray]] = {}
 
     @cached_property
     def walk(self) -> list[tuple[int, list[np.ndarray]]]:
@@ -190,12 +194,22 @@ class NodeTable:
         return ancestors
 
     def symbol_heads(self, symbols: frozenset[tuple[str, str]]) -> tuple[np.ndarray, np.ndarray]:
-        """Per application: is its head a symbol, and is that symbol in ``symbols``."""
-        is_symbol = self.heads < self.leaves
-        is_symbol[is_symbol] = self.kind[self.heads[is_symbol]] == SYMBOL
-        wanted = [self.leaf_position[(SYMBOL, cd, name)] for cd, name in symbols
-                  if (SYMBOL, cd, name) in self.leaf_position]
-        return is_symbol, np.isin(self.heads, wanted)
+        """Per application: is its head a symbol, and is that symbol in ``symbols``.
+
+        Kept per ``symbols``, read-only, so a document table shared by many
+        plans computes them once.
+        """
+        found = self._symbol_heads.get(symbols)
+        if found is None:
+            is_symbol = self.heads < self.leaves
+            is_symbol[is_symbol] = self.kind[self.heads[is_symbol]] == SYMBOL
+            wanted = [self.leaf_position[(SYMBOL, cd, name)] for cd, name in symbols
+                      if (SYMBOL, cd, name) in self.leaf_position]
+            found = is_symbol, np.isin(self.heads, wanted)
+            for mask in found:
+                mask.flags.writeable = False
+            self._symbol_heads[symbols] = found
+        return found
 
 
 def _leaf_codes(docs: NodeTable, queries: NodeTable, rows: range) -> np.ndarray:
@@ -223,10 +237,14 @@ class _Block:
     Query position ``s`` at depth ``j`` below ``u`` aligned with a document
     subtree at depth ``k`` below ``d`` adds ``(cp[j] * dp[k]) * aligned`` to
     the candidates of ``sim(u, d)``.  Each ancestor ``u`` gets the maximum of
-    its ``(j, s)`` pairs.  ``updates`` cut the ancestors into pieces of about
-    ``_CELLS`` floats; within a piece they are ordered by pair count, most
-    first, so the ``c``-th pairs of those with more than ``c`` form one
-    column of ``(level, row)`` arrays over a prefix of the piece.
+    its ``(j, s)`` pairs.  A pass holds those candidates as one
+    ``(levels, rows, n)`` array; viewed as ``(levels * rows, n)``, pair
+    ``(j, s)`` is the flat row ``level * rows + local``, where ``level``
+    indexes ``levels`` and ``local`` is ``s``'s row in the block.
+    ``updates`` cut the ancestors into pieces of about ``_CELLS`` floats;
+    within a piece they are ordered by pair count, most first, so the
+    ``c``-th pairs of those with more than ``c`` form one column of flat rows
+    over a prefix of the piece.
     """
 
     def __init__(self, docs: NodeTable, queries: NodeTable, rows: range):
@@ -234,17 +252,17 @@ class _Block:
         levels = sorted({j for s in rows for j, _ in queries.ancestors[s]})
         level_of = {j: i for i, j in enumerate(levels)}
         self.levels = np.array(levels, dtype=np.intp)
-        pairs: dict[int, list[tuple[int, int]]] = {}
+        pairs: dict[int, list[int]] = {}
         for s in rows:
             for j, u in queries.ancestors[s]:
-                pairs.setdefault(u, []).append((level_of[j], s - rows.start))
+                pairs.setdefault(u, []).append(level_of[j] * len(rows) + s - rows.start)
         targets = sorted(pairs, key=lambda u: -len(pairs[u]))
         step = max(1, _CELLS // docs.size)
         self.updates = []
         for first in range(0, len(targets), step):
             piece = [pairs[u] for u in targets[first : first + step]]
             columns = [
-                tuple(np.array(c) for c in zip(*(found[c] for found in piece if len(found) > c)))
+                np.array([found[c] for found in piece if len(found) > c], dtype=np.intp)
                 for c in range(len(piece[0]))
             ]
             self.updates.append((np.array(targets[first : first + step]), columns))
@@ -262,16 +280,18 @@ class _Block:
         at_depth = scale[:, 0] * reach
         below = reach
         for k, (start, places) in enumerate(walk, start=1):
-            deeper = below[:, places[0]]
+            # One take per place: packed into one 2-D index and reduced with
+            # max(axis=2), the places gathered 7 to 11 times slower.
+            deeper = below.take(places[0], axis=1)
             for place in places[1:]:
-                np.maximum(deeper, below[:, place], out=deeper)
+                np.maximum(deeper, below.take(place, axis=1), out=deeper)
             below = deeper
             np.maximum(at_depth[..., start:], scale[:, k] * below, out=at_depth[..., start:])
-        for targets, columns in self.updates:
-            (level, local), *rest = columns
-            best = at_depth[level, local]
-            for level, local in rest:
-                np.maximum(best[: len(level)], at_depth[level, local], out=best[: len(level)])
+        at_depth = at_depth.reshape(-1, n)
+        for targets, (first, *rest) in self.updates:
+            best = at_depth.take(first, axis=0)
+            for index in rest:
+                np.maximum(best[: len(index)], at_depth.take(index, axis=0), out=best[: len(index)])
             sim[targets, :n] = np.maximum(sim[targets, :n], best)
 
 
@@ -291,6 +311,11 @@ class _LeafBlock(_Block):
 class _ApplyBlock(_Block):
     """Query applications of one height, with their argument places and greedy pairs.
 
+    ``heads`` and each of ``places`` are 1-D positions: the query side picks
+    rows of ``sim`` and the document side, one entry per document
+    application, picks columns.  The document sides are ``d_places``, shared
+    by every block of a plan.
+
     Arguments are matched greedily where both heads are symbols and either is
     commutative: ``q_index``/``d_index`` are those pairs, ordered by how many
     arguments they match, most first, and ``greedy_q[i]`` holds the ``i``-th
@@ -298,13 +323,13 @@ class _ApplyBlock(_Block):
     prefix of the pairs.
     """
 
-    def __init__(self, docs: NodeTable, queries: NodeTable, rows: range, symbols):
+    def __init__(self, docs: NodeTable, queries: NodeTable, rows: range, symbols, d_places):
         super().__init__(docs, queries, rows)
         apps = slice(rows.start - queries.leaves, rows.stop - queries.leaves)
         q_args, q_arity = queries.args[apps], queries.arity[apps]
-        self.heads = queries.heads[apps, None]
-        self.places = [(q_args[:, i, None], docs.args[None, :, i])
-                       for i in range(min(q_args.shape[1], docs.args.shape[1]))]
+        self.heads = queries.heads[apps]
+        self.places = [(np.ascontiguousarray(q_args[:, i]), d_place)
+                       for i, d_place in enumerate(d_places[: q_args.shape[1]])]
         self.p = q_arity.astype(float)[:, None]
         (d_symbol, d_commutative), (q_symbol, q_commutative) = symbols
         greedy = (
@@ -328,20 +353,19 @@ class _ApplyBlock(_Block):
         total = np.zeros(len(self.q_index))
         for q_place in self.greedy_q:
             size = len(q_place)
-            rows = np.arange(size)
             candidates = sim[q_place, d_args[:size]]
-            candidates[used[:size]] = -1.0
-            best = candidates.argmax(axis=1)
-            total[:size] += candidates[rows, best]
-            used[rows, best] = True
+            np.copyto(candidates, -1.0, where=used[:size])
+            best = candidates.argmax(axis=1, keepdims=True)
+            total[:size] += np.take_along_axis(candidates, best, axis=1)[:, 0]
+            np.put_along_axis(used[:size], best, True, axis=1)
         return total
 
     def reach(self, sim: np.ndarray, docs: NodeTable, params: MetricParams) -> np.ndarray:
         """Root-aligned score of these query applications against every document one."""
-        head = sim[self.heads, docs.heads[None, :]]
+        head = sim.take(self.heads, axis=0).take(docs.heads, axis=1)
         args = np.zeros_like(head)
         for q_place, d_place in self.places:
-            args = args + sim[q_place, d_place]
+            args = args + sim.take(q_place, axis=0).take(d_place, axis=1)
         if self.q_index.size:
             args[self.q_index, self.d_index] = self._greedy_sums(sim, docs)
         omega = params.omega
@@ -370,6 +394,7 @@ class Plan:
         n = docs.size
         heights = len(queries.level_start) - 1
         symbols = (docs.symbol_heads(commutative), queries.symbol_heads(commutative))
+        d_places = [np.ascontiguousarray(place) for place in docs.args.T]
         # Rows per pass: one row's temporaries hold a few times ``n`` floats per
         # query depth and per argument place.
         step = max(1, _CELLS // ((heights + docs.args.shape[1] + 3) * n))
@@ -380,7 +405,7 @@ class Plan:
             # height only need lower ones, so the block splits freely.
             blocks = [
                 _LeafBlock(docs, queries, rows) if h == 0
-                else _ApplyBlock(docs, queries, rows, symbols)
+                else _ApplyBlock(docs, queries, rows, symbols, d_places)
                 for rows in (range(first, min(first + step, hi)) for first in range(lo, hi, step))
             ]
             self.heights.append((slice(lo, hi), blocks))
@@ -395,8 +420,9 @@ class Plan:
         docs, queries = self.docs, self.queries
         n = docs.size
         heights = len(queries.level_start) - 1
-        cp = [decay(params.cp_model(), j, params.epsilon) for j in range(heights)]
-        dp = [decay(params.dp_model(), k, params.epsilon) for k in range(len(docs.level_start) - 1)]
+        cp_model, dp_model = params.cp_model(), params.dp_model()
+        cp = [decay(cp_model, j, params.epsilon) for j in range(heights)]
+        dp = [decay(dp_model, k, params.epsilon) for k in range(len(docs.level_start) - 1)]
         bounds = np.multiply.outer(cp, dp)
         # A row holds the best candidate so far until its height is done, then
         # the final score.  One padding row and column, both 0, stand for

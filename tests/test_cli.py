@@ -106,6 +106,14 @@ class TestSearchCommand:
         rows = (tmp_path / "out" / "hits_q_sum.csv").read_text().strip().splitlines()
         assert len(rows) == 43
 
+    def test_bundled_query_reproduces_committed_output(self, tmp_path):
+        config = write_config(tmp_path)
+        query = str(ASSETS / "queries" / "q_gcd_lcm.xml")
+        assert main(["search", "--config", str(config), "--query", query, "--n", "4"]) == EXIT_OK
+        for name in ("hits_q_gcd_lcm.csv", "hits_q_gcd_lcm.json"):
+            got = (tmp_path / "out" / name).read_bytes()
+            assert got == (REFERENCE_OUT / name).read_bytes(), name
+
     def test_malformed_query_is_data_error(self, tmp_path):
         config = write_config(tmp_path)
         bad = tmp_path / "query.xml"
@@ -144,6 +152,16 @@ class TestEvaluateCommand:
         first = (tmp_path / "out" / "report.csv").read_bytes()
         main(["evaluate", "--config", str(config)])
         assert (tmp_path / "out" / "report.csv").read_bytes() == first
+
+    def test_bundled_run_reproduces_committed_output(self, tmp_path):
+        config = write_config(tmp_path)
+        # The committed table saves a cold critical-value fill.
+        (tmp_path / "out").mkdir()
+        shutil.copy(REFERENCE_OUT / "critical_values.json", tmp_path / "out")
+        assert main(["evaluate", "--config", str(config)]) == EXIT_OK
+        for name in ("hitlists.csv", "report.csv", "report.json"):
+            got = (tmp_path / "out" / name).read_bytes()
+            assert got == (REFERENCE_OUT / name).read_bytes(), name
 
     def test_external_hitlists_match_golden_reports(self, tmp_path, capsys):
         config = write_config(tmp_path, truth_file=str(EVALUATE_GOLDEN / "truth.csv"))

@@ -334,3 +334,64 @@ def test_loaded_queries_compile_once(bundled_corpus, bundled_queries, bundled_pa
         assert batch_search(bundled_queries, corpus, bundled_params, sizes, commutative) == fresh
     in_order = batch_search(bundled_queries, bundled_corpus, bundled_params, sizes, frozenset())
     assert in_order != expected
+
+
+def _ancestor_stride_cells(docs, queries):
+    """``_CELLS`` settings that exercise the flat ``level * rows + local`` rows.
+
+    One gives blocks of up to three rows with several levels each; the other
+    gives blocks of one row whose ancestor updates split into pieces.
+    """
+    per_row = (len(queries.level_start) - 1 + docs.args.shape[1] + 3) * docs.size
+    return {"rows": 3 * per_row, "pieces": 2 * docs.size}
+
+
+@pytest.mark.parametrize("inputs", ["bundled", "random"])
+@pytest.mark.parametrize("kind", DECAY_KINDS)
+def test_ancestor_update_stride_equals_per_pair(
+    kind, inputs, monkeypatch, tmp_path, bundled_corpus, bundled_queries, bundled_symbols
+):
+    if inputs == "bundled":
+        corpus, queries = bundled_corpus, bundled_queries
+    else:
+        corpus, queries = write_random_inputs(tmp_path, seed=811)
+    commutative = bundled_symbols.commutative
+    params = make_params(omega=3.1, zeta=0.9, decay_model=kind, dp_rate=0.3, cp_rate=0.2)
+    reference = np.array(
+        [[sim(q.tree, d.tree, params, commutative) for d in corpus] for q in queries]
+    )
+    docs, q_table = corpus.table, queries.table
+    for setting, cells in _ancestor_stride_cells(docs, q_table).items():
+        monkeypatch.setattr(engine, "_CELLS", cells)
+        plan = Plan(docs, q_table, commutative)
+        blocks = [block for _, height in plan.heights for block in height]
+        if setting == "rows":
+            assert {len(block.rows) for block in blocks} >= {2, 3}
+            assert any(len(block.rows) > 1 and len(block.levels) > 1 for block in blocks)
+        else:
+            assert any(len(block.updates) > 1 for block in blocks)
+        assert plan(params).tobytes() == reference.tobytes(), setting
+
+
+def _expected_symbol_heads(table, symbols):
+    keys = list(table.leaf_position)  # in position order
+    heads = [keys[h] if h < table.leaves else None for h in table.heads.tolist()]
+    is_symbol = [key is not None and key[0] == engine.SYMBOL for key in heads]
+    wanted = [flag and key[1:] in symbols for flag, key in zip(is_symbol, heads)]
+    return np.array(is_symbol), np.array(wanted)
+
+
+def test_symbol_heads_kept_per_commutative_set(bundled_corpus, bundled_queries, bundled_params):
+    # A fresh load of the documents, so no other test has asked its table.
+    corpus = Corpus(bundled_corpus)
+    table = corpus.table
+    times_only = frozenset({("arith1", "times")})
+    first = table.symbol_heads(DEFAULT_COMMUTATIVE)
+    assert table.symbol_heads(times_only)[1].tolist() != first[1].tolist()
+    for commutative in (DEFAULT_COMMUTATIVE, times_only, DEFAULT_COMMUTATIVE):
+        got = table.symbol_heads(commutative)
+        for mask, expected in zip(got, _expected_symbol_heads(table, commutative)):
+            assert mask.tolist() == expected.tolist()
+            assert not mask.flags.writeable
+        assert_shared_equals_per_pair(bundled_queries[:4], corpus, bundled_params, commutative)
+    assert table.symbol_heads(DEFAULT_COMMUTATIVE) is first
