@@ -27,7 +27,11 @@ same floating-point operations on the same values:
 - argument sums add position by position from the first, and padding adds
   ``+0.0``;
 - greedy matching takes the query arguments in order and gives each the best
-  unused document argument, the first one on ties.
+  unused document argument, the first one on ties;
+- against a document with two arguments, that is ``v01 + v10`` where the
+  first query argument scores higher with the second document argument
+  (``v01 > v00``, with ``v_ij`` the score of query argument ``i`` against
+  document argument ``j``), and the ordered sum ``v00 + v11`` otherwise;
 - both paths clamp the aligned score to 1, so the reference's pruning skips
   only alignments that cannot beat the best so far.
 """
@@ -103,8 +107,9 @@ class NodeTable:
 
     Positions are ordered by height, so children come before parents and the
     leaves (height 0) are positions ``0 .. leaves - 1``, and a leaf's position
-    doubles as the code of its text.  Applications are indexed from
-    ``leaves`` on:
+    doubles as the code of its text: ``leaf_keys[pos]`` is its
+    :func:`_leaf_key`, and ``leaf_position`` maps back.  Applications are
+    indexed from ``leaves`` on:
 
     - ``heads[a]`` and ``args[a]`` are the positions of the children of
       position ``leaves + a``; ``args`` is padded with ``size``;
@@ -127,13 +132,13 @@ class NodeTable:
         self.level_start = np.searchsorted(height_of, np.arange(height_of[-1] + 2))
         self.leaves = int(self.level_start[1])
 
-        leaf_keys = [keys[old] for old in order[: self.leaves]]
-        self.leaf_position = {key: pos for pos, key in enumerate(leaf_keys)}
-        self.kind = np.array([key[0] for key in leaf_keys], dtype=np.int8)
+        self.leaf_keys = [keys[old] for old in order[: self.leaves]]
+        self.leaf_position = {key: pos for pos, key in enumerate(self.leaf_keys)}
+        self.kind = np.array([key[0] for key in self.leaf_keys], dtype=np.int8)
         self.cd_code: dict[str, int] = {}
         self.cd = np.array(
             [self.cd_code.setdefault(key[1], len(self.cd_code)) if key[0] == SYMBOL else -1
-             for key in leaf_keys],
+             for key in self.leaf_keys],
             dtype=np.intp,
         )
 
@@ -201,11 +206,12 @@ class NodeTable:
         """
         found = self._symbol_heads.get(symbols)
         if found is None:
-            is_symbol = self.heads < self.leaves
-            is_symbol[is_symbol] = self.kind[self.heads[is_symbol]] == SYMBOL
-            wanted = [self.leaf_position[(SYMBOL, cd, name)] for cd, name in symbols
-                      if (SYMBOL, cd, name) in self.leaf_position]
-            found = is_symbol, np.isin(self.heads, wanted)
+            # Lookups by position, since a head can be an application.
+            is_symbol, wanted = np.zeros((2, self.size), dtype=bool)
+            is_symbol[: self.leaves] = self.kind == SYMBOL
+            wanted[[self.leaf_position[(SYMBOL, cd, name)] for cd, name in symbols
+                    if (SYMBOL, cd, name) in self.leaf_position]] = True
+            found = is_symbol[self.heads], wanted[self.heads]
             for mask in found:
                 mask.flags.writeable = False
             self._symbol_heads[symbols] = found
@@ -222,7 +228,7 @@ def _leaf_codes(docs: NodeTable, queries: NodeTable, rows: range) -> np.ndarray:
     # The score of two leaves with different text, by the kinds of the two.
     unequal = np.array([[1, 2, 0], [2, 3, 0], [0, 0, 4]], dtype=np.int8)
     codes = unequal[q_kind, d_kind]
-    q_keys = list(queries.leaf_position)[rows.start : rows.stop]  # in position order
+    q_keys = queries.leaf_keys[rows.start : rows.stop]
     q_cd = np.array([docs.cd_code.get(key[1], -2) if key[0] == SYMBOL else -1 for key in q_keys])
     codes[(q_kind == SYMBOL) & (d_kind == SYMBOL) & (q_cd[:, None] != docs.cd[None, :])] = 0
     same = np.array([docs.leaf_position.get(key, -1) for key in q_keys])
@@ -317,10 +323,14 @@ class _ApplyBlock(_Block):
     by every block of a plan.
 
     Arguments are matched greedily where both heads are symbols and either is
-    commutative: ``q_index``/``d_index`` are those pairs, ordered by how many
-    arguments they match, most first, and ``greedy_q[i]`` holds the ``i``-th
-    query argument of each pair that matches more than ``i`` arguments: a
-    prefix of the pairs.
+    commutative.  Where the document has two arguments, ``swap`` holds the
+    mask of those pairs and the places of ``v01`` and ``v10``; padding
+    stands in for a missing second query argument.  Where it has one, the
+    ordered sum is the greedy one.  Only documents with three or more
+    arguments run the greedy loop: ``q_index``/``d_index`` are those pairs,
+    ordered by how many arguments they match, most first, and
+    ``greedy_q[i]`` holds the ``i``-th query argument of each pair that
+    matches more than ``i`` arguments: a prefix of the pairs.
     """
 
     def __init__(self, docs: NodeTable, queries: NodeTable, rows: range, symbols, d_places):
@@ -337,7 +347,14 @@ class _ApplyBlock(_Block):
             & (d_symbol & (docs.arity > 0))[None, :]
             & (q_commutative[apps, None] | d_commutative[None, :])
         )
-        q_index, d_index = np.nonzero(greedy)
+        # A one-argument document never swaps: its v01 is padding, 0.
+        swap = greedy & (docs.arity == 2)
+        self.swap = None
+        if swap.any():
+            (q_first, d_first), *rest = self.places
+            q_second = rest[0][0] if rest else np.full(len(rows), queries.size)
+            self.swap = swap, (q_first, d_places[1]), (q_second, d_first)
+        q_index, d_index = np.nonzero(greedy & (docs.arity > 2))
         counts = np.minimum(q_arity[q_index], docs.arity[d_index])
         order = np.argsort(-counts, kind="stable")
         self.q_index, self.d_index, counts = q_index[order], d_index[order], counts[order]
@@ -364,8 +381,16 @@ class _ApplyBlock(_Block):
         """Root-aligned score of these query applications against every document one."""
         head = sim.take(self.heads, axis=0).take(docs.heads, axis=1)
         args = np.zeros_like(head)
-        for q_place, d_place in self.places:
-            args = args + sim.take(q_place, axis=0).take(d_place, axis=1)
+        for i, (q_place, d_place) in enumerate(self.places):
+            term = sim.take(q_place, axis=0).take(d_place, axis=1)
+            args = args + term
+            if i == 0:
+                v00 = term
+        if self.swap is not None:
+            swap, (q_first, d_second), (q_second, d_first) = self.swap
+            v01 = sim.take(q_first, axis=0).take(d_second, axis=1)
+            v10 = sim.take(q_second, axis=0).take(d_first, axis=1)
+            np.copyto(args, v01 + v10, where=swap & (v01 > v00))
         if self.q_index.size:
             args[self.q_index, self.d_index] = self._greedy_sums(sim, docs)
         omega = params.omega

@@ -320,6 +320,16 @@ class TestXvalCommand:
             "ave_rho_correlation,ave_tau_correlation"
         )
 
+    def test_bundled_run_reproduces_committed_output(self, tmp_path):
+        config = write_config(tmp_path, space_file=str(ASSETS / "space.json"))
+        # The committed table saves a cold critical-value fill.
+        (tmp_path / "out").mkdir()
+        shutil.copy(REFERENCE_OUT / "critical_values.json", tmp_path / "out")
+        assert main(["xval", "--config", str(config)]) == EXIT_OK
+        for name in ("xval.csv", "xval.json"):
+            got = (tmp_path / "out" / name).read_bytes()
+            assert got == (REFERENCE_OUT / name).read_bytes(), name
+
     def test_seed_override_changes_split(self, tmp_path):
         config = write_config(tmp_path)
         main(["xval", "--config", str(config), "--seed", "1"])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mathsim import engine
+from mathsim import engine, metric
 from mathsim.engine import NodeTable, Plan
 from mathsim.mathml import (
     Apply,
@@ -395,3 +395,86 @@ def test_symbol_heads_kept_per_commutative_set(bundled_corpus, bundled_queries, 
             assert not mask.flags.writeable
         assert_shared_equals_per_pair(bundled_queries[:4], corpus, bundled_params, commutative)
     assert table.symbol_heads(DEFAULT_COMMUTATIVE) is first
+
+
+# Arguments for the two-argument swap: symbols of their own content
+# dictionaries score 0 against every argument here.
+SWAP_POOL = [X, Apply(SIN, (X,)), TWO, Apply(PLUS, (Y, X))]
+ZERO_A, ZERO_B = FunctionSymbol("a", "zero1"), FunctionSymbol("b", "zero2")
+
+
+def _swap_args(arity, shift):
+    return tuple(SWAP_POOL[(i + shift) % len(SWAP_POOL)] for i in range(arity))
+
+
+SWAP_QUERIES = [
+    Apply(head, _swap_args(arity, shift))
+    for arity in range(1, 5) for head, shift in ((PLUS, 0), (PLUS, 1), (MINUS, 1))
+] + [
+    Apply(PLUS, (TWO, X)),  # ties against plus(x, y): theta both ways
+    Apply(TIMES, (Apply(SIN, (X,)), Y)),
+    Apply(PLUS, (ZERO_A, ZERO_B)),
+    Apply(Apply(PLUS, (X,)), (Y, X)),  # not greedy: the head is no symbol
+]
+SWAP_DOCS = [
+    Apply(head, _swap_args(arity, shift))
+    for arity in range(1, 5) for head, shift in ((PLUS, 0), (TIMES, 1), (PLUS, 3), (MINUS, 0))
+] + [
+    Apply(Apply(PLUS, (X,)), (X, Y)),
+    Apply(PLUS, (X, Y)),
+    Apply(PLUS, (X, X)),
+    Apply(TIMES, (Apply(SIN, (X,)), Apply(SIN, (X,)))),
+    Apply(PLUS, (ZERO_A, ZERO_B)),
+    Apply(TIMES, (ZERO_B, ZERO_A, ZERO_B)),
+]
+SWAP_CASES = {
+    "mixed": (SWAP_QUERIES, SWAP_DOCS),
+    "query-width-1": ([t for t in SWAP_QUERIES if len(t.args) == 1] + [X], SWAP_DOCS),
+    "doc-width-1": (SWAP_QUERIES, [
+        Apply(PLUS, (X,)), Apply(TIMES, (Apply(SIN, (X,)),)), Apply(PLUS, (TWO,)),
+        Apply(MINUS, (Y,)), Apply(PLUS, (ZERO_A,)), Y,
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", SWAP_CASES)
+@pytest.mark.parametrize("kind", DECAY_KINDS)
+def test_two_argument_swap_equals_per_pair(kind, case, monkeypatch):
+    # Greedy pairs whose document has at most two arguments take the ordered
+    # sum, or v01 + v10 where the first query argument prefers the second
+    # document argument; wider documents still run the greedy loop.
+    queries, docs = SWAP_CASES[case]
+    commutative = DEFAULT_COMMUTATIVE
+    assert ("arith1", "plus") in commutative and ("arith1", "minus") not in commutative
+    params = make_params(omega=3.1, decay_model=kind, dp_rate=0.3, cp_rate=0.2)
+    q_table, d_table = NodeTable(queries), NodeTable(docs)
+    assert (q_table.args.shape[1], d_table.args.shape[1]) == {
+        "mixed": (4, 4), "query-width-1": (1, 4), "doc-width-1": (4, 1)}[case]
+    plan = Plan(d_table, q_table, commutative)
+    greedy_arities = []
+    greedy_sums = engine._ApplyBlock._greedy_sums
+
+    def recording(block, sim_rows, docs_table):
+        greedy_arities.extend(docs_table.arity[block.d_index].tolist())
+        return greedy_sums(block, sim_rows, docs_table)
+
+    monkeypatch.setattr(engine._ApplyBlock, "_greedy_sums", recording)
+    got = plan(params)
+    reference = np.array([[sim(q, d, params, commutative) for d in docs] for q in queries])
+    assert got.tobytes() == reference.tobytes()
+
+    swaps = [block.swap for _, blocks in plan.heights[1:] for block in blocks]
+    if case == "doc-width-1":
+        assert swaps == [None] * len(swaps) and greedy_arities == []
+        return
+    assert any(swap is not None for swap in swaps)
+    assert set(greedy_arities) == {3, 4}
+    # The cases must hold swapped pairs, ties and all-zero arguments.
+    context = metric._SimContext(params, commutative)
+    narrow = [(q.args, d.args) for q in queries for d in docs
+              if type(d) is Apply and len(d.args) == 2 and type(q) is Apply and q.head in (PLUS, TIMES)]
+    swapped = [context.greedy_sum(a, b) != context.ordered_sum(a, b) for a, b in narrow]
+    firsts = [(context.sim(a[0], b[0]), context.sim(a[0], b[1])) for a, b in narrow]
+    assert any(swapped)
+    assert any(v00 == v01 > 0 for v00, v01 in firsts)
+    assert (0.0, 0.0) in firsts
