@@ -104,7 +104,7 @@ def validate_field(name: str, value: float) -> None:
     if name not in _FIELD_RANGES:
         raise ValueError(f"unknown metric parameter {name!r}")
     low, high, low_open, high_open = _FIELD_RANGES[name]
-    if not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")

@@ -46,8 +46,11 @@ class GridRange:
     step: float
 
     def __post_init__(self) -> None:
-        if not all(isinstance(v, (int, float)) for v in (self.min, self.max, self.step)):
+        bounds = (self.min, self.max, self.step)
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in bounds):
             raise ValueError(f"min, max and step must be numbers, got {self}")
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"min, max and step must be finite, got {self}")
         if self.step <= 0:
             raise ValueError(f"step must be > 0, got {self.step}")
         if self.min > self.max:

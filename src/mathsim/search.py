@@ -26,6 +26,7 @@ from .metric import DEFAULT_COMMUTATIVE, MetricParams, SymbolConfig, score_docum
 
 CORPUS_EXTENSIONS = (".xml", ".mathml")
 HITLIST_COLUMNS = ("query_id", "rank", "doc_id", "score")
+_CLASSES = tuple(FormulaClass)
 
 
 class CorpusLoadError(ValueError):
@@ -80,8 +81,8 @@ class Corpus(tuple):
     at most once.  A query set also keeps the scoring plan of its last
     search (:class:`engine.Plan`), so every parameter set of a tuning run
     scores through one plan; it is rebuilt when the documents' table or the
-    commutative set differs from the last one.  Searches also accept a
-    plain sequence of records, compiled afresh on every call.
+    commutative set differs from the last one.  A search given a plain
+    sequence of records wraps it in a new ``Corpus``, compiled afresh.
     """
 
     @cached_property
@@ -90,7 +91,12 @@ class Corpus(tuple):
 
     @cached_property
     def ranking(self) -> tuple[np.ndarray, np.ndarray]:
-        return _ranking(self)
+        """Each document's index into ``_CLASSES`` and its rank by ``doc_id`` (stable)."""
+        classes = np.array([_CLASSES.index(d.formula_class) for d in self], dtype=np.intp)
+        by_id = sorted(range(len(self)), key=lambda i: self[i].doc_id)
+        id_rank = np.empty(len(self), dtype=np.intp)
+        id_rank[by_id] = np.arange(len(self))
+        return classes, id_rank
 
     def plan(self, docs: NodeTable, commutative: frozenset[tuple[str, str]]) -> Plan:
         plan = self.__dict__.get("_plan")
@@ -162,58 +168,6 @@ def load_queries(directory: str | Path) -> Corpus:
     )
 
 
-def _table(records: Sequence) -> NodeTable:
-    return records.table if isinstance(records, Corpus) else NodeTable([r.tree for r in records])
-
-
-_CLASSES = tuple(FormulaClass)
-
-
-def _ranking(corpus: Sequence[DocumentRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Each document's index into ``_CLASSES`` and its rank by ``doc_id`` (stable)."""
-    classes = np.array([_CLASSES.index(d.formula_class) for d in corpus], dtype=np.intp)
-    by_id = sorted(range(len(corpus)), key=lambda i: corpus[i].doc_id)
-    id_rank = np.empty(len(corpus), dtype=np.intp)
-    id_rank[by_id] = np.arange(len(corpus))
-    return classes, id_rank
-
-
-def _hitlists(
-    queries: Sequence[Query],
-    corpus: Sequence[DocumentRecord],
-    params: MetricParams,
-    commutative: frozenset[tuple[str, str]],
-    sizes: Sequence[int],
-) -> list[HitList]:
-    """Score every query against every document and keep each query's best.
-
-    Scores are ``score_document``'s; each query's ``n`` best documents are
-    ordered by descending score, then ascending doc_id, whatever the order
-    of the records.
-    """
-    docs = _table(corpus)
-    if isinstance(queries, Corpus):
-        plan = queries.plan(docs, commutative)
-    else:
-        plan = Plan(docs, _table(queries), commutative)
-    classes, id_rank = corpus.ranking if isinstance(corpus, Corpus) else _ranking(corpus)
-    weights = np.array([params.weight_for(c) for c in _CLASSES])
-    scores = plan(params) * weights[classes]
-    hitlists = []
-    for query, row, n in zip(queries, scores, sizes):
-        top = np.lexsort((id_rank, -row))[:n]
-        hits = zip([corpus[i].doc_id for i in top.tolist()], row[top].tolist())
-        hitlists.append(HitList(query.query_id, tuple(hits), n))
-    return hitlists
-
-
-def _check_search(corpus: Sequence[DocumentRecord], n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not corpus:
-        raise ValueError("cannot search an empty corpus")
-
-
 def search(
     query: ExprTree,
     corpus: Sequence[DocumentRecord],
@@ -224,12 +178,12 @@ def search(
 ) -> HitList:
     """Exhaustively score the corpus and keep the ``n`` best documents.
 
-    Ordering is total: descending score, then ascending doc_id, so equal
-    inputs always produce identical hit lists.  Scores are those of
-    :func:`score_document`, computed for all documents at once.
+    This is :func:`batch_search` of the one query.  Ordering is total:
+    descending score, then ascending doc_id, so equal inputs always produce
+    identical hit lists.  Scores are those of :func:`score_document`,
+    computed for all documents at once.
     """
-    _check_search(corpus, n)
-    return _hitlists([Query(query_id, query)], corpus, params, commutative, [n])[0]
+    return batch_search(Corpus([Query(query_id, query)]), corpus, params, {query_id: n}, commutative)[0]
 
 
 def batch_search(
@@ -241,17 +195,31 @@ def batch_search(
 ) -> list[HitList]:
     """One hit list per query; every query id must have an entry in ``n_per_query``.
 
-    All queries are scored in one pass, so subtrees they share are scored once.
+    All queries are scored in one pass, so subtrees they share are scored
+    once.  Each query's ``n`` best documents are ordered by descending
+    score, then ascending doc_id, whatever the order of the records.
     """
     missing = [q.query_id for q in queries if q.query_id not in n_per_query]
     if missing:
         raise ValueError(f"no hit-list size configured for queries: {', '.join(sorted(missing))}")
-    for q in queries:
-        _check_search(corpus, n_per_query[q.query_id])
+    sizes = [n_per_query[q.query_id] for q in queries]
+    for n in sizes:
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if not corpus:
+            raise ValueError("cannot search an empty corpus")
     if not queries:
         return []
-    sizes = [n_per_query[q.query_id] for q in queries]
-    return _hitlists(queries, corpus, params, commutative, sizes)
+    queries, corpus = (r if isinstance(r, Corpus) else Corpus(r) for r in (queries, corpus))
+    classes, id_rank = corpus.ranking
+    weights = np.array([params.weight_for(c) for c in _CLASSES])
+    scores = queries.plan(corpus.table, commutative)(params) * weights[classes]
+    hitlists = []
+    for query, row, n in zip(queries, scores, sizes):
+        top = np.lexsort((id_rank, -row))[:n]
+        hits = zip([corpus[i].doc_id for i in top.tolist()], row[top].tolist())
+        hitlists.append(HitList(query.query_id, tuple(hits), n))
+    return hitlists
 
 
 def write_hitlists_csv(hitlists: Sequence[HitList], path: str | Path) -> None:

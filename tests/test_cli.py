@@ -386,6 +386,28 @@ class TestExitCodes:
         assert "config error" in err and "bad.json" in err
         assert "Traceback" not in err
 
+    def test_boolean_param_is_config_error(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({**json.loads((ASSETS / "params.json").read_text()), "zeta": True}))
+        config = write_config(tmp_path, params_file=str(params))
+        query = str(ASSETS / "queries" / "q_newton.xml")
+        assert main(["search", "--config", str(config), "--query", query]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"bad params file {params}: zeta must be a number, got True" in err
+        assert not (tmp_path / "out" / "hits_q_newton.csv").exists()
+
+    @pytest.mark.parametrize("bound", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_non_finite_space_bound_is_config_error(self, tmp_path, capsys, bound):
+        space = json.loads((ASSETS / "space.json").read_text())
+        space["ranges"]["zeta"]["max"] = bound
+        bad = tmp_path / "bad_space.json"
+        bad.write_text(json.dumps(space))
+        config = write_config(tmp_path, space_file=str(bad))
+        assert main(["optimize", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"bad parameter-space file {bad}: min, max and step must be finite" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("seeds", [
         {"mc_seed": -1}, {"mc_seed": True}, {"mc_seed": 1.5}, {"mc_seed": "7151"}, [7151],
     ], ids=["negative", "bool", "float", "string", "seeds-list"])

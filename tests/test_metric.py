@@ -136,6 +136,16 @@ class TestParamsValidation:
         assert symbols.commutative == frozenset({("arith1", "plus")})
         assert symbols.equality == frozenset({("relation1", "approx")})
 
+    @pytest.mark.parametrize("field,value", [("zeta", True), ("omega", False)])
+    def test_boolean_value_rejected(self, tmp_path, field, value):
+        # json reads true/false as bools, which isinstance(…, int) accepts.
+        data = make_params().to_dict()
+        data[field] = value
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"{field} must be a number, got {value}"):
+            load_params(path)
+
     def test_missing_key_reported(self):
         data = make_params().to_dict()
         del data["omega"]

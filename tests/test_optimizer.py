@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import pickle
 import random
@@ -64,6 +65,21 @@ class TestGridRange:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             GridRange(1.0, 0.0, 0.1)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("max", math.inf, "finite"),
+        ("min", -math.inf, "finite"),
+        ("step", math.nan, "finite"),
+        ("min", True, "numbers"),
+        ("step", False, "numbers"),
+    ])
+    def test_space_file_bounds_must_be_finite_numbers(self, tmp_path, field, value, message):
+        # json reads Infinity, NaN and true; each must fail the load, not values().
+        spec = {"min": 0.0, "max": 0.5, "step": 0.5, field: value}
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"order": ["zeta"], "ranges": {"zeta": spec}}))
+        with pytest.raises(ValueError, match=f"min, max and step must be {message}"):
+            load_param_space(path)
 
 
 class TestParamSpace:

@@ -148,7 +148,7 @@ class TestSearch:
         )
 
     def test_invalid_n(self, bundled_corpus, bundled_params):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
             search(X, bundled_corpus, bundled_params, 0)
 
     def test_empty_corpus_rejected(self, bundled_params):
@@ -181,6 +181,32 @@ class TestBatchSearch:
         shuffled = list(bundled_corpus)
         random.Random(99).shuffle(shuffled)
         assert batch_search(queries, shuffled, bundled_params, sizes) == baseline
+
+    def test_empty_corpus_checked_before_later_sizes(self, bundled_params, bundled_queries):
+        first, second = bundled_queries[:2]
+        sizes = {first.query_id: 3, second.query_id: 0}
+        with pytest.raises(ValueError, match="cannot search an empty corpus"):
+            batch_search([first, second], [], bundled_params, sizes)
+
+    def test_no_queries_needs_no_corpus(self, bundled_params):
+        assert batch_search([], [], bundled_params, {}) == []
+
+
+class TestSearchIsOneQueryBatch:
+    @pytest.mark.parametrize("records", ["corpus", "list", "reversed"])
+    def test_search_equals_batch_of_one(
+        self, bundled_corpus, bundled_params, bundled_symbols, bundled_queries, records
+    ):
+        corpus = {
+            "corpus": bundled_corpus,
+            "list": list(bundled_corpus),
+            "reversed": list(bundled_corpus)[::-1],
+        }[records]
+        for query in bundled_queries:
+            got = search(query.tree, corpus, bundled_params, 9, bundled_symbols.commutative, query.query_id)
+            batch = batch_search([query], corpus, bundled_params, {query.query_id: 9},
+                                 bundled_symbols.commutative)
+            assert [got] == batch
 
 
 class TestHitListIO:
