@@ -9,13 +9,14 @@ per query subtree, filled bottom-up by query height.
 
 Scoring has two steps.  A :class:`Plan`, built once from the document table,
 the query table and the commutative symbols, holds all that the parameters
-leave alone: blocks of query rows with their ancestor pairs, leaf score
-codes, argument places, arities and greedy pairs; the document table keeps
-the gather lists of the walk down its depths.  Calling the plan with a
-parameter set is then gathers and arithmetic only, so a tuning run pays for
-the plan once.  The gathers of the walk, the application reach and the
-ancestor updates are single-axis ``take`` calls over 1-D indexes the plan
-holds: on blocks of one or two rows, numpy's 2-D fancy indexing costs
+leave alone: the leaf terms of each query subtree, and blocks of query
+applications with their ancestor pairs, argument places, arities and greedy
+pairs; the document table keeps the gather lists of the walk down its depths
+and the least depth of each kind of leaf below each position.  Calling the
+plan with a parameter set is then gathers and arithmetic only, so a tuning
+run pays for the plan once.  The gathers of the walk, the application reach
+and the ancestor updates are single-axis ``take`` calls over 1-D indexes the
+plan holds: on blocks of one or two rows, numpy's 2-D fancy indexing costs
 several times more per call.
 
 Every score equals the reference bit for bit, because the engine does the
@@ -24,6 +25,9 @@ same floating-point operations on the same values:
 - an alignment at query depth ``j`` and document depth ``k`` is worth
   ``(cp[j] * dp[k]) * aligned``, and since rounding is monotone, the bound
   times the largest aligned score is the largest of the products;
+- ``decay`` never grows with depth, for every shape, so neither does
+  ``cp[j] * dp[k]`` in ``j`` or ``k``: of equal aligned scores, the least
+  depths give the largest product, and only they need scoring;
 - argument sums add position by position from the first, and padding adds
   ``+0.0``;
 - greedy matching takes the query arguments in order and gives each the best
@@ -150,6 +154,7 @@ class NodeTable:
         for a, c in enumerate(children):
             self.args[a, : len(c) - 1] = c[1:]
         self._symbol_heads: dict[frozenset, tuple[np.ndarray, np.ndarray]] = {}
+        self._leaf_depths: dict[int, np.ndarray] = {}
 
     @cached_property
     def walk(self) -> list[tuple[int, list[np.ndarray]]]:
@@ -198,6 +203,58 @@ class NodeTable:
                 ancestors[s].append((j, u))
         return ancestors
 
+    def _least_depths(self, found: np.ndarray) -> np.ndarray:
+        """Per row of the mask ``found`` over the leaves, the least depth of a marked leaf.
+
+        A leaf is at depth 0 below itself.  Where a position has no marked
+        leaf below it, the depth is the sentinel ``len(level_start) - 1``,
+        one past the deepest depth, so a pass that appends a zero column to
+        its depth bounds scores it 0.  One pass bottom-up by height takes
+        every row at once: a position's least depth is one more than its
+        children's least.
+        """
+        none = len(self.level_start) - 1
+        least = np.full((len(found), self.size + 1), none, dtype=np.min_scalar_type(none + 1))
+        least[:, : self.leaves][found] = 0
+        # Padding is ``size``: the last column, always the sentinel.
+        children = np.column_stack([self.heads, self.args])
+        for h in range(1, none):
+            lo, hi = int(self.level_start[h]), int(self.level_start[h + 1])
+            first, *rest = children[lo - self.leaves : hi - self.leaves].T
+            below = least.take(first, axis=1)
+            for place in rest:
+                np.minimum(below, least.take(place, axis=1), out=below)
+            least[:, lo:hi] = np.minimum(below + 1, none)
+        least = least[:, : self.size]
+        least.flags.writeable = False
+        return least
+
+    @cached_property
+    def class_depths(self) -> np.ndarray:
+        """Least depth below each position of a leaf of each class.
+
+        The classes are constants, variables and the symbols of each content
+        dictionary: rows ``CONSTANT`` and ``VARIABLE``, then
+        ``SYMBOL + cd_code[cd]``; read-only, as :meth:`_least_depths` gives
+        them.
+        """
+        row = np.where(self.kind == SYMBOL, SYMBOL + self.cd, self.kind)
+        return self._least_depths(row == np.arange(SYMBOL + len(self.cd_code))[:, None])
+
+    def leaf_depths(self, leaves: Sequence[int]) -> list[np.ndarray]:
+        """Least depth below each position of each leaf position of ``leaves``.
+
+        Rows are kept by leaf, read-only, so plans on one table compute each
+        once, and only for the leaves some query set has: a full leaves by
+        positions table would grow with the square of the corpus.
+        """
+        missing = sorted(set(leaves) - self._leaf_depths.keys())
+        if missing:
+            found = np.zeros((len(missing), self.leaves), dtype=bool)
+            found[np.arange(len(missing)), missing] = True
+            self._leaf_depths.update(zip(missing, self._least_depths(found)))
+        return [self._leaf_depths[t] for t in leaves]
+
     def symbol_heads(self, symbols: frozenset[tuple[str, str]]) -> tuple[np.ndarray, np.ndarray]:
         """Per application: is its head a symbol, and is that symbol in ``symbols``.
 
@@ -218,27 +275,26 @@ class NodeTable:
         return found
 
 
-def _leaf_codes(docs: NodeTable, queries: NodeTable, rows: range) -> np.ndarray:
-    """Which leaf score each query leaf of ``rows`` gets against each document leaf.
+def _leaf_terms(docs: NodeTable, key: tuple, classes: int) -> list[tuple[int, int]]:
+    """The ``(row, code)`` terms of a query leaf with :func:`_leaf_key` ``key``.
 
-    The codes index ``[0.0, delta, theta, zeta, mu, 1.0]``.
+    A row below ``classes`` is that row of ``docs.class_depths``; from
+    ``classes`` on, row ``classes + t`` is the least depths of document leaf
+    ``t``.  Codes index ``[0.0, delta, theta, zeta, mu, 1.0]``.
     """
-    q_kind = queries.kind[rows.start : rows.stop, None]
-    d_kind = docs.kind[None, :]
-    # The score of two leaves with different text, by the kinds of the two.
-    unequal = np.array([[1, 2, 0], [2, 3, 0], [0, 0, 4]], dtype=np.int8)
-    codes = unequal[q_kind, d_kind]
-    q_keys = queries.leaf_keys[rows.start : rows.stop]
-    q_cd = np.array([docs.cd_code.get(key[1], -2) if key[0] == SYMBOL else -1 for key in q_keys])
-    codes[(q_kind == SYMBOL) & (d_kind == SYMBOL) & (q_cd[:, None] != docs.cd[None, :])] = 0
-    same = np.array([docs.leaf_position.get(key, -1) for key in q_keys])
-    found = np.nonzero(same >= 0)[0]
-    codes[found, same[found]] = 5
-    return codes
+    same = docs.leaf_position.get(key)
+    terms = [] if same is None else [(classes + same, 5)]
+    if key[0] == CONSTANT:
+        terms += [(CONSTANT, 1), (VARIABLE, 2)]
+    elif key[0] == VARIABLE:
+        terms += [(VARIABLE, 3), (CONSTANT, 2)]
+    elif key[1] in docs.cd_code:
+        terms.append((SYMBOL + docs.cd_code[key[1]], 4))
+    return terms
 
 
-class _Block:
-    """Query rows of one height that one pass scores, and the ancestors they raise.
+class _ApplyBlock:
+    """Query applications of one height that one pass scores, and the ancestors they raise.
 
     Query position ``s`` at depth ``j`` below ``u`` aligned with a document
     subtree at depth ``k`` below ``d`` adds ``(cp[j] * dp[k]) * aligned`` to
@@ -251,9 +307,24 @@ class _Block:
     within a piece they are ordered by pair count, most first, so the
     ``c``-th pairs of those with more than ``c`` form one column of flat rows
     over a prefix of the piece.
+
+    ``heads`` and each of ``places`` are 1-D positions: the query side picks
+    rows of ``sim`` and the document side, one entry per document
+    application, picks columns.  The document sides are ``d_places``, shared
+    by every block of a plan.
+
+    Arguments are matched greedily where both heads are symbols and either is
+    commutative.  Where the document has two arguments, ``swap`` holds the
+    mask of those pairs and the places of ``v01`` and ``v10``; padding
+    stands in for a missing second query argument.  Where it has one, the
+    ordered sum is the greedy one.  Only documents with three or more
+    arguments run the greedy loop: ``q_index``/``d_index`` are those pairs,
+    ordered by how many arguments they match, most first, and
+    ``greedy_q[i]`` holds the ``i``-th query argument of each pair that
+    matches more than ``i`` arguments: a prefix of the pairs.
     """
 
-    def __init__(self, docs: NodeTable, queries: NodeTable, rows: range):
+    def __init__(self, docs: NodeTable, queries: NodeTable, rows: range, symbols, d_places):
         self.rows = rows
         levels = sorted({j for s in rows for j, _ in queries.ancestors[s]})
         level_of = {j: i for i, j in enumerate(levels)}
@@ -273,68 +344,6 @@ class _Block:
             ]
             self.updates.append((np.array(targets[first : first + step]), columns))
 
-    def raise_ancestors(self, sim: np.ndarray, reach: np.ndarray, bounds: np.ndarray, walk) -> None:
-        """Raise the ``sim`` rows of every query subtree above these rows.
-
-        ``reach`` holds the aligned score of each row's subtree with each
-        document subtree; the rows of the block must be final.
-        """
-        n = reach.shape[1]
-        # The aligned score with the best of each document subtree's
-        # descendants at depth k = 1, 2, ...
-        scale = bounds[self.levels][:, :, None, None]
-        at_depth = scale[:, 0] * reach
-        below = reach
-        for k, (start, places) in enumerate(walk, start=1):
-            # One take per place: packed into one 2-D index and reduced with
-            # max(axis=2), the places gathered 7 to 11 times slower.
-            deeper = below.take(places[0], axis=1)
-            for place in places[1:]:
-                np.maximum(deeper, below.take(place, axis=1), out=deeper)
-            below = deeper
-            np.maximum(at_depth[..., start:], scale[:, k] * below, out=at_depth[..., start:])
-        at_depth = at_depth.reshape(-1, n)
-        for targets, (first, *rest) in self.updates:
-            best = at_depth.take(first, axis=0)
-            for index in rest:
-                np.maximum(best[: len(index)], at_depth.take(index, axis=0), out=best[: len(index)])
-            sim[targets, :n] = np.maximum(sim[targets, :n], best)
-
-
-class _LeafBlock(_Block):
-    def __init__(self, docs: NodeTable, queries: NodeTable, rows: range):
-        super().__init__(docs, queries, rows)
-        self.codes = _leaf_codes(docs, queries, rows)
-
-    def reach(self, sim: np.ndarray, docs: NodeTable, params: MetricParams) -> np.ndarray:
-        """``leaf_sim`` of these query leaves against every document leaf."""
-        values = np.array([0.0, params.delta, params.theta, params.zeta, params.mu, 1.0])
-        reach = np.zeros((len(self.rows), docs.size))
-        reach[:, : docs.leaves] = values[self.codes]
-        return reach
-
-
-class _ApplyBlock(_Block):
-    """Query applications of one height, with their argument places and greedy pairs.
-
-    ``heads`` and each of ``places`` are 1-D positions: the query side picks
-    rows of ``sim`` and the document side, one entry per document
-    application, picks columns.  The document sides are ``d_places``, shared
-    by every block of a plan.
-
-    Arguments are matched greedily where both heads are symbols and either is
-    commutative.  Where the document has two arguments, ``swap`` holds the
-    mask of those pairs and the places of ``v01`` and ``v10``; padding
-    stands in for a missing second query argument.  Where it has one, the
-    ordered sum is the greedy one.  Only documents with three or more
-    arguments run the greedy loop: ``q_index``/``d_index`` are those pairs,
-    ordered by how many arguments they match, most first, and
-    ``greedy_q[i]`` holds the ``i``-th query argument of each pair that
-    matches more than ``i`` arguments: a prefix of the pairs.
-    """
-
-    def __init__(self, docs: NodeTable, queries: NodeTable, rows: range, symbols, d_places):
-        super().__init__(docs, queries, rows)
         apps = slice(rows.start - queries.leaves, rows.stop - queries.leaves)
         q_args, q_arity = queries.args[apps], queries.arity[apps]
         self.heads = queries.heads[apps]
@@ -401,15 +410,58 @@ class _ApplyBlock(_Block):
         reach[:, docs.leaves :] = np.minimum(aligned, 1.0, out=aligned)
         return reach
 
+    def raise_ancestors(self, sim: np.ndarray, reach: np.ndarray, bounds: np.ndarray, walk) -> None:
+        """Raise the ``sim`` rows of every query subtree above these rows.
+
+        ``reach`` holds the aligned score of each row's subtree with each
+        document subtree; the rows of the block must be final.
+        """
+        n = reach.shape[1]
+        # The aligned score with the best of each document subtree's
+        # descendants at depth k = 1, 2, ...
+        scale = bounds[self.levels][:, :, None, None]
+        at_depth = scale[:, 0] * reach
+        below = reach
+        for k, (start, places) in enumerate(walk, start=1):
+            # One take per place: packed into one 2-D index and reduced with
+            # max(axis=2), the places gathered 7 to 11 times slower.
+            deeper = below.take(places[0], axis=1)
+            for place in places[1:]:
+                np.maximum(deeper, below.take(place, axis=1), out=deeper)
+            below = deeper
+            np.maximum(at_depth[..., start:], scale[:, k] * below, out=at_depth[..., start:])
+        at_depth = at_depth.reshape(-1, n)
+        for targets, (first, *rest) in self.updates:
+            best = at_depth.take(first, axis=0)
+            for index in rest:
+                np.maximum(best[: len(index)], at_depth.take(index, axis=0), out=best[: len(index)])
+            sim[targets, :n] = np.maximum(sim[targets, :n], best)
+
 
 class Plan:
     """Everything of scoring ``queries`` against ``docs`` that the parameters leave alone.
 
     Built once, a plan scores any number of parameter sets, each pass doing
-    only gathers and arithmetic: the blocks of query rows, with their
-    ancestor pairs, leaf score codes, argument places and greedy pairs, are
-    fixed by the two tables and ``commutative``.  A pass keeps nothing in
-    the plan.
+    only gathers and arithmetic: the leaf terms of each query ancestor, and
+    the blocks of query applications with their ancestor pairs, argument
+    places and greedy pairs, are fixed by the two tables and
+    ``commutative``.  A pass keeps nothing in the plan.
+
+    The leaf stage scores every query leaf at once.  Query leaf ``s`` at
+    depth ``j`` below ``u`` and the document leaves below ``d`` give
+    ``sim(u, d)`` the best ``(cp[j] * dp[k]) * value`` over their depths
+    ``k``, where the value is one of ``[0, delta, theta, zeta, mu, 1]`` and
+    depends on the kind of document leaf alone: the same leaf, a constant, a
+    variable, or a symbol of one content dictionary.  Decay never grows with
+    depth, so of each kind only its least depth below ``d`` can win, and of
+    each ``(kind, value)`` term only its least ``j`` below ``u``.  A class
+    may hold the same leaf, whose class value at the same depth is at most 1.
+
+    ``leaf_groups`` holds one ``(span, depths, targets)`` per term: the
+    ancestors ``targets`` that have it, each once, their least ``j`` at
+    ``leaf_j[span]``, its value at ``leaf_codes[span]`` and the least
+    depths of its kind ``depths``, a row of the document table.  A pass
+    gathers ``leaf_width`` document columns at a time.
     """
 
     def __init__(
@@ -418,23 +470,60 @@ class Plan:
         self.docs, self.queries, self.commutative = docs, queries, commutative
         n = docs.size
         heights = len(queries.level_start) - 1
+        classes = len(docs.class_depths)
+        # Per (row, code) term, each ancestor that has it with its least j.
+        terms: dict[tuple[int, int], dict[int, int]] = {}
+        for s, key in enumerate(queries.leaf_keys):
+            for term in _leaf_terms(docs, key, classes):
+                found = terms.setdefault(term, {})
+                for j, u in queries.ancestors[s]:
+                    if found.get(u, j + 1) > j:
+                        found[u] = j
+        leaves = sorted({row - classes for row, _ in terms if row >= classes})
+        leaf_rows = dict(zip(leaves, docs.leaf_depths(leaves)))
+        j_of: list[int] = []
+        codes: list[int] = []
+        self.leaf_groups = []
+        for (row, code), found in terms.items():
+            depths = docs.class_depths[row] if row < classes else leaf_rows[row - classes]
+            targets = np.array(list(found), dtype=np.intp)
+            self.leaf_groups.append((slice(len(j_of), len(j_of) + len(found)), depths, targets))
+            j_of += found.values()
+            codes += [code] * len(found)
+        self.leaf_j = np.array(j_of, dtype=np.intp)
+        self.leaf_codes = np.array(codes, dtype=np.intp)
+        self.leaf_width = max(1, _CELLS // max(map(len, terms.values()), default=1))
+
         symbols = (docs.symbol_heads(commutative), queries.symbol_heads(commutative))
         d_places = [np.ascontiguousarray(place) for place in docs.args.T]
         # Rows per pass: one row's temporaries hold a few times ``n`` floats per
         # query depth and per argument place.
         step = max(1, _CELLS // ((heights + docs.args.shape[1] + 3) * n))
         self.heights = []
-        for h in range(heights):
+        for h in range(1, heights):
             lo, hi = int(queries.level_start[h]), int(queries.level_start[h + 1])
             # Every subtree of height h has its descendants done; rows of one
             # height only need lower ones, so the block splits freely.
             blocks = [
-                _LeafBlock(docs, queries, rows) if h == 0
-                else _ApplyBlock(docs, queries, rows, symbols, d_places)
-                for rows in (range(first, min(first + step, hi)) for first in range(lo, hi, step))
+                _ApplyBlock(docs, queries, range(first, min(first + step, hi)), symbols, d_places)
+                for first in range(lo, hi, step)
             ]
             self.heights.append((slice(lo, hi), blocks))
         self.root_index = np.ix_(queries.roots, docs.roots)
+
+    def _score_leaves(self, sim: np.ndarray, bounds: np.ndarray, params: MetricParams) -> None:
+        """Raise the ``sim`` rows of every query ancestor with its leaves' best."""
+        values = np.array([0.0, params.delta, params.theta, params.zeta, params.mu, 1.0])
+        # Per term and depth, ``(cp[j] * dp[k]) * value``; the last column,
+        # 0, is where the least-depth sentinel points.
+        scored = np.zeros((len(self.leaf_j), bounds.shape[1] + 1))
+        np.multiply(bounds[self.leaf_j], values[self.leaf_codes][:, None], out=scored[:, :-1])
+        n = self.docs.size
+        for first in range(0, n, self.leaf_width):
+            columns = slice(first, min(first + self.leaf_width, n))
+            for span, depths, targets in self.leaf_groups:
+                best = scored[span].take(depths[columns], axis=1)
+                sim[targets, columns] = np.maximum(sim[targets, columns], best)
 
     def __call__(self, params: MetricParams) -> np.ndarray:
         """``sim`` of every query root (rows) against every document root.
@@ -453,6 +542,8 @@ class Plan:
         # the final score.  One padding row and column, both 0, stand for
         # missing arguments.
         sim = np.zeros((queries.size + 1, n + 1))
+        # No leaf score exceeds 1, so leaf rows need no clamp.
+        self._score_leaves(sim, bounds, params)
         for done, blocks in self.heights:
             for block in blocks:
                 block.raise_ancestors(sim, block.reach(sim, docs, params), bounds, docs.walk)

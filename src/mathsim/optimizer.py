@@ -89,7 +89,15 @@ class ParamSpace:
         if not (isinstance(specs, dict) and all(isinstance(s, dict) for s in specs.values())
                 and isinstance(data.get("order"), list)):
             raise ValueError('space document must be {"order": [...], "ranges": {name: {...}}}')
-        ranges = {name: GridRange(s["min"], s["max"], s["step"]) for name, s in specs.items()}
+        ranges = {}
+        for name, spec in specs.items():
+            missing = [key for key in ("min", "max", "step") if key not in spec]
+            if missing:
+                raise ValueError(f"no {', '.join(missing)} in the range of {name}")
+            try:
+                ranges[name] = GridRange(spec["min"], spec["max"], spec["step"])
+            except ValueError as error:
+                raise ValueError(f"{error}, in the range of {name}") from error
         return cls(tuple(data["order"]), ranges)
 
 

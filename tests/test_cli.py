@@ -406,6 +406,18 @@ class TestExitCodes:
         assert main(["optimize", "--config", str(config)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"bad parameter-space file {bad}: min, max and step must be finite" in err
+        assert err.rstrip().endswith("in the range of zeta")
+        assert "Traceback" not in err
+
+    def test_space_range_without_max_names_parameter(self, tmp_path, capsys):
+        space = json.loads((ASSETS / "space.json").read_text())
+        del space["ranges"]["zeta"]["max"]
+        bad = tmp_path / "bad_space.json"
+        bad.write_text(json.dumps(space))
+        config = write_config(tmp_path, space_file=str(bad))
+        assert main(["optimize", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"bad parameter-space file {bad}: no max in the range of zeta" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("seeds", [

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from mathsim.mathml import Apply, Constant, FormulaClass, FunctionSymbol, Variable
+from mathsim.mathml import MAX_DEPTH, Apply, Constant, FormulaClass, FunctionSymbol, Variable
 from mathsim.metric import (
     DECAY_KINDS,
     DEFAULT_COMMUTATIVE,
@@ -63,11 +63,19 @@ class TestDecay:
         for kind in DECAY_KINDS:
             assert decay(DecayModel(kind, 0.5), 0, 0.05) == 1.0
 
-    def test_monotone_nonincreasing(self):
+    def test_monotone_nonincreasing(self, bundled_space):
+        # The engine scores each kind of leaf at its least depth alone, which
+        # is exact only because no shape grows with depth, down to the floor.
+        grid = {r for name in ("dp_rate", "cp_rate") for r in bundled_space.trial_values(name)}
+        epsilons = set(bundled_space.trial_values("epsilon")) | {0.01, 0.5}
         for kind in DECAY_KINDS:
-            for rate in (0.1, 0.5, 0.9):
-                series = [decay(DecayModel(kind, rate), k, 0.05) for k in range(21)]
-                assert all(a >= b for a, b in zip(series, series[1:])), (kind, rate)
+            steep = {1.0} if kind == "exponential" else {1.5, 10.0, 1000.0}
+            for rate in sorted(grid | steep):
+                for epsilon in epsilons:
+                    series = [decay(DecayModel(kind, rate), k, epsilon) for k in range(MAX_DEPTH + 2)]
+                    assert all(a >= b for a, b in zip(series, series[1:])), (kind, rate, epsilon)
+                    if kind != "exponential" and rate in steep:
+                        assert series[-1] == epsilon, (kind, rate, epsilon)
 
     def test_bad_models_rejected(self):
         with pytest.raises(ValueError):

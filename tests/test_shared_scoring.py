@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from mathsim import engine, metric
 from mathsim.engine import NodeTable, Plan
 from mathsim.mathml import (
+    MAX_DEPTH,
     Apply,
     Constant,
     FunctionSymbol,
@@ -463,7 +464,7 @@ def test_two_argument_swap_equals_per_pair(kind, case, monkeypatch):
     reference = np.array([[sim(q, d, params, commutative) for d in docs] for q in queries])
     assert got.tobytes() == reference.tobytes()
 
-    swaps = [block.swap for _, blocks in plan.heights[1:] for block in blocks]
+    swaps = [block.swap for _, blocks in plan.heights for block in blocks]
     if case == "doc-width-1":
         assert swaps == [None] * len(swaps) and greedy_arities == []
         return
@@ -478,3 +479,135 @@ def test_two_argument_swap_equals_per_pair(kind, case, monkeypatch):
     assert any(swapped)
     assert any(v00 == v01 > 0 for v00, v01 in firsts)
     assert (0.0, 0.0) in firsts
+
+
+# The leaf stage.  In the first document f(x) sits at depths 1 and 2 below
+# the root, one shared subtree, so x does at depths 2 and 3.  The queries
+# hold leaves no document has, and a symbol of a content dictionary no
+# document uses, whose leaf has no terms at all.
+LONELY = FunctionSymbol("alone", "lonely1")
+LEAF_DOCS = [
+    g(f(X), g(f(X)), TWO),
+    f(Y, Apply(PLUS, (X, HALF)), g(F)),
+    Apply(H, (g(f(Z)), X)),
+    Apply(SIN, (TWO,)),
+    X,
+]
+LEAF_QUERIES = [
+    X, Variable("w"), Constant("42"), LONELY, F,
+    g(f(X), LONELY),
+    f(g(Variable("w"), Constant("42")), X),
+    Apply(LONELY, (Y, g(TWO))),
+    Apply(TIMES, (Apply(SIN, (Z,)), HALF)),
+]
+LEAF_PARAMS = {"zeta-1": {"zeta": 1.0}, "no-delta-theta": {"delta": 0.0, "theta": 0.0}}
+
+
+def _leaf_stage_equals_per_pair(docs, queries, params):
+    q_table, d_table = NodeTable(queries), NodeTable(docs)
+    plan = Plan(d_table, q_table, DEFAULT_COMMUTATIVE)
+    reference = np.array([[sim(q, d, params, DEFAULT_COMMUTATIVE) for d in docs] for q in queries])
+    assert plan(params).tobytes() == reference.tobytes()
+    return plan, q_table, d_table
+
+
+@pytest.mark.parametrize("setting", LEAF_PARAMS)
+@pytest.mark.parametrize("kind", DECAY_KINDS)
+def test_leaf_stage_equals_per_pair(kind, setting):
+    params = make_params(omega=3.1, decay_model=kind, dp_rate=0.3, cp_rate=0.2, **LEAF_PARAMS[setting])
+    plan, q_table, d_table = _leaf_stage_equals_per_pair(LEAF_DOCS, LEAF_QUERIES, params)
+    # The shared subtree holds x at two depths below the root.
+    root = int(d_table.roots[0])
+    x = d_table.leaf_position[engine._leaf_key(X)]
+    assert {j for j, u in d_table.ancestors[x] if u == root} == {2, 3}
+    # Query leaves absent from the documents get no exact term; the lonely
+    # symbol gets no term at all.
+    absent = [q_table.leaf_position[engine._leaf_key(leaf)] for leaf in (Variable("w"), Constant("42"))]
+    lonely = q_table.leaf_position[engine._leaf_key(LONELY)]
+    scored = {int(u) for _, _, targets in plan.leaf_groups for u in targets}
+    assert set(absent) <= scored and lonely not in scored
+    assert all(key not in d_table.leaf_position for key in map(engine._leaf_key, (Variable("w"), LONELY)))
+
+
+@pytest.mark.parametrize("kind", DECAY_KINDS)
+def test_leaf_stage_column_pieces_equal_per_pair(kind, monkeypatch):
+    # Room for a few rows at a time cuts the leaf stage into column pieces.
+    monkeypatch.setattr(engine, "_CELLS", 8)
+    params = make_params(omega=3.1, zeta=1.0, decay_model=kind, dp_rate=0.3, cp_rate=0.2)
+    plan, _, d_table = _leaf_stage_equals_per_pair(LEAF_DOCS, LEAF_QUERIES, params)
+    assert len(range(0, d_table.size, plan.leaf_width)) > 2
+
+
+def _brute_force_least_depths(table, trees):
+    """Per position, the least depth of each leaf below it, read off the trees."""
+    apps = {(h, *table.args[a, : table.arity[a]].tolist()): table.leaves + a
+            for a, h in enumerate(table.heads.tolist())}
+    position: dict[int, int] = {}
+
+    def locate(node):
+        found = position.get(id(node))
+        if found is None:
+            if type(node) is Apply:
+                found = apps[tuple(locate(c) for c in (node.head, *node.args))]
+            else:
+                found = table.leaf_position[engine._leaf_key(node)]
+            position[id(node)] = found
+        return found
+
+    none = len(table.level_start) - 1
+    least = np.full((table.leaves, table.size), none)
+    for tree in trees:
+        for _, node in iter_subtrees(tree):
+            column = least[:, locate(node)]
+            for depth, below in iter_subtrees(node):
+                if type(below) is not Apply:
+                    t = locate(below)
+                    column[t] = min(column[t], depth)
+    return least
+
+
+def _deep_trees():
+    tree = X
+    for i in range(MAX_DEPTH):
+        tree = Apply(MINUS, (tree, Constant(str(i % 3)))) if i % 5 else Apply(SIN, (tree,))
+    return [tree, Apply(MINUS, (Y,)), tree.args[0]]
+
+
+@pytest.mark.parametrize("inputs", ["bundled", "random", "deep"])
+def test_least_depths_equal_brute_force(inputs, tmp_path, bundled_corpus):
+    if inputs == "bundled":
+        trees = [d.tree for d in bundled_corpus]
+    elif inputs == "random":
+        corpus, queries = write_random_inputs(tmp_path, seed=811)
+        trees = [d.tree for d in corpus] + [q.tree for q in queries]
+    else:
+        trees = _deep_trees()
+    table = NodeTable(trees)
+    expected = _brute_force_least_depths(table, trees)
+    rows = table.leaf_depths(range(table.leaves))
+    assert np.array(rows).tolist() == expected.tolist()
+    assert not any(row.flags.writeable for row in rows)
+    classes = np.full(table.class_depths.shape, len(table.level_start) - 1)
+    for t, key in enumerate(table.leaf_keys):
+        c = key[0] if key[0] != engine.SYMBOL else engine.SYMBOL + table.cd_code[key[1]]
+        np.minimum(classes[c], expected[t], out=classes[c])
+    assert table.class_depths.tolist() == classes.tolist()
+    assert not table.class_depths.flags.writeable
+    if inputs == "deep":
+        assert len(table.level_start) - 1 == MAX_DEPTH + 1
+        assert table.class_depths.dtype == np.uint8
+
+
+def test_plans_share_cached_leaf_depths(bundled_corpus, bundled_queries):
+    # A fresh load of the documents, so no other test has asked its table.
+    table = Corpus(bundled_corpus).table
+    first = Plan(table, bundled_queries.table, DEFAULT_COMMUTATIVE)
+    fewer = Corpus(bundled_queries[:4]).table
+    shared = sorted({table.leaf_position[key] for key in fewer.leaf_keys if key in table.leaf_position})
+    assert shared
+    rows = table.leaf_depths(shared)
+    second = Plan(table, fewer, frozenset())
+    for plan in (first, second):
+        used = [depths for _, depths, _ in plan.leaf_groups]
+        assert all(any(row is depths for depths in used) for row in rows)
+    assert all(again is row for again, row in zip(table.leaf_depths(shared), rows))
