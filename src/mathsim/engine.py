@@ -11,13 +11,17 @@ Scoring has two steps.  A :class:`Plan`, built once from the document table,
 the query table and the commutative symbols, holds all that the parameters
 leave alone: the leaf terms of each query subtree, and blocks of query
 applications with their ancestor pairs, argument places, arities and greedy
-pairs; the document table keeps the gather lists of the walk down its depths
-and the least depth of each kind of leaf below each position.  Calling the
-plan with a parameter set is then gathers and arithmetic only, so a tuning
-run pays for the plan once.  The gathers of the walk, the application reach
-and the ancestor updates are single-axis ``take`` calls over 1-D indexes the
-plan holds: on blocks of one or two rows, numpy's 2-D fancy indexing costs
-several times more per call.
+pairs.  The document table keeps what depends on the documents alone, for
+every plan on it: the gather lists of the walk down its depths, the least
+depth of each kind of leaf below each position, its argument columns, and,
+per commutative set, the documents each class of query application matches
+greedily.  A one-query plan, built afresh by every search, so gathers its
+greedy pairs from rows the table already holds.  Calling the plan with a
+parameter set is then gathers and arithmetic only, so a tuning run pays for
+the plan once.  The gathers of the walk, the application reach, the greedy
+steps and the ancestor updates are single-axis or flat ``take`` calls over
+indexes the plan holds: on blocks of one or two rows, numpy's 2-D fancy
+indexing costs several times more per call.
 
 Every score equals the reference bit for bit, because the engine does the
 same floating-point operations on the same values:
@@ -43,7 +47,8 @@ same floating-point operations on the same values:
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Sequence
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,13 +75,14 @@ def _leaf_key(node: ExprTree) -> tuple:
     return (SYMBOL, node.cd, node.name)
 
 
-def _distinct(trees: Sequence[ExprTree]) -> tuple[list[tuple], list[int]]:
-    """Metric-distinct subtrees in post-order, and the position of each root.
+def _distinct(trees: Sequence[ExprTree]) -> tuple[list[tuple], list[int], list[int]]:
+    """Metric-distinct subtrees in post-order, the height of each, and the position of each root.
 
     A leaf's key is its :func:`_leaf_key`; an application's is its children's
     positions.  The walk is iterative, so depth is limited by memory only.
     """
     keys: list[tuple] = []
+    heights: list[int] = []
     position: dict[tuple, int] = {}
     seen: dict[int, int] = {}  # id(node) -> position; the trees keep ids alive
     roots = []
@@ -93,7 +99,7 @@ def _distinct(trees: Sequence[ExprTree]) -> tuple[list[tuple], list[int]]:
                 if pending:
                     stack.extend(pending)
                     continue
-                key = (_APPLY, *(seen[id(c)] for c in children))
+                key = (_APPLY, *[seen[id(c)] for c in children])
             else:
                 key = _leaf_key(node)
             stack.pop()
@@ -101,9 +107,10 @@ def _distinct(trees: Sequence[ExprTree]) -> tuple[list[tuple], list[int]]:
             if pos is None:
                 pos = position[key] = len(keys)
                 keys.append(key)
+                heights.append(1 + max([heights[c] for c in key[1:]]) if key[0] == _APPLY else 0)
             seen[id(node)] = pos
         roots.append(seen[id(tree)])
-    return keys, roots
+    return keys, heights, roots
 
 
 class NodeTable:
@@ -118,23 +125,25 @@ class NodeTable:
     - ``heads[a]`` and ``args[a]`` are the positions of the children of
       position ``leaves + a``; ``args`` is padded with ``size``;
     - ``level_start[h]`` is the first position of height ``h`` or more.
+
+    What plans on the table share is kept on it, read-only, and computed on
+    first use: the walk, least leaf depths, ``arg_places``, and per
+    commutative set :meth:`symbol_heads` and :meth:`greedy_documents`.
     """
 
     def __init__(self, trees: Sequence[ExprTree]):
-        keys, roots = _distinct(trees)
-        heights = [0] * len(keys)
-        for pos, key in enumerate(keys):
-            if key[0] == _APPLY:
-                heights[pos] = 1 + max(heights[c] for c in key[1:])
+        keys, heights, roots = _distinct(trees)
         order = sorted(range(len(keys)), key=heights.__getitem__)
         rank = [0] * len(keys)
         for new, old in enumerate(order):
             rank[old] = new
         self.size = len(keys)
         self.roots = np.array([rank[r] for r in roots], dtype=np.intp)
-        height_of = np.array([heights[old] for old in order], dtype=np.intp)
-        self.level_start = np.searchsorted(height_of, np.arange(height_of[-1] + 2))
-        self.leaves = int(self.level_start[1])
+        per_height = [0] * (heights[order[-1]] + 1)
+        for h in heights:
+            per_height[h] += 1
+        self.level_start = np.array([*accumulate(per_height, initial=0)], dtype=np.intp)
+        self.leaves = per_height[0]
 
         self.leaf_keys = [keys[old] for old in order[: self.leaves]]
         self.leaf_position = {key: pos for pos, key in enumerate(self.leaf_keys)}
@@ -149,11 +158,11 @@ class NodeTable:
         children = [[rank[c] for c in keys[old][1:]] for old in order[self.leaves:]]
         self.heads = np.array([c[0] for c in children], dtype=np.intp)
         self.arity = np.array([len(c) - 1 for c in children], dtype=np.intp)
-        width = int(self.arity.max(initial=0))
-        self.args = np.full((len(children), width), self.size, dtype=np.intp)
-        for a, c in enumerate(children):
-            self.args[a, : len(c) - 1] = c[1:]
+        width = max(map(len, children), default=1) - 1
+        self.args = np.array([c[1:] + [self.size] * (width + 1 - len(c)) for c in children],
+                             dtype=np.intp).reshape(len(children), width)
         self._symbol_heads: dict[frozenset, tuple[np.ndarray, np.ndarray]] = {}
+        self._greedy_documents: dict[frozenset, tuple[np.ndarray, list[bool], list[_LoopDocuments]]] = {}
         self._leaf_depths: dict[int, np.ndarray] = {}
 
     @cached_property
@@ -193,10 +202,11 @@ class NodeTable:
         has about ``D * D / 2`` of them; ``MAX_DEPTH`` bounds parsed queries.
         """
         below: list[set[tuple[int, int]]] = [{(pos, 0)} for pos in range(self.leaves)]
-        for a, head in enumerate(self.heads.tolist()):
-            children = [head, *self.args[a, : self.arity[a]].tolist()]
-            below.append({(self.leaves + a, 0)}
-                         | {(s, j + 1) for c in children for s, j in below[c]})
+        for head, args, arity in zip(self.heads.tolist(), self.args.tolist(), self.arity.tolist()):
+            found = {(len(below), 0)}
+            for c in {head, *args[:arity]}:
+                found.update([(s, j + 1) for s, j in below[c]])
+            below.append(found)
         ancestors: list[list[tuple[int, int]]] = [[] for _ in below]
         for u, found in enumerate(below):
             for s, j in found:
@@ -263,16 +273,71 @@ class NodeTable:
         """
         found = self._symbol_heads.get(symbols)
         if found is None:
-            # Lookups by position, since a head can be an application.
-            is_symbol, wanted = np.zeros((2, self.size), dtype=bool)
-            is_symbol[: self.leaves] = self.kind == SYMBOL
-            wanted[[self.leaf_position[(SYMBOL, cd, name)] for cd, name in symbols
-                    if (SYMBOL, cd, name) in self.leaf_position]] = True
-            found = is_symbol[self.heads], wanted[self.heads]
+            heads = [self.leaf_keys[h] if h < self.leaves else (_APPLY,) for h in self.heads.tolist()]
+            found = (np.array([key[0] == SYMBOL for key in heads], dtype=bool),
+                     np.array([key[0] == SYMBOL and key[1:] in symbols for key in heads], dtype=bool))
             for mask in found:
                 mask.flags.writeable = False
             self._symbol_heads[symbols] = found
         return found
+
+    def greedy_documents(
+        self, symbols: frozenset[tuple[str, str]]
+    ) -> tuple[np.ndarray, list[bool], list[_LoopDocuments]]:
+        """``(swap, swaps, loops)``: what each class of query application matches greedily.
+
+        The classes are: no greedy matching (the head is no symbol, or there
+        are no arguments), a symbol head, and a symbol head in ``symbols``.
+        A symbol head matches the applications with a symbol head in
+        ``symbols`` greedily; one in ``symbols``, every application with a
+        symbol head.  Per class ``c``, of those it matches:
+
+        - ``swap[c]`` marks the ones with two arguments, and ``swaps[c]``
+          says whether there are any;
+        - ``loops[c]`` holds the ones with three or more.
+
+        Kept per ``symbols``, read-only, like :meth:`symbol_heads`: a query
+        row's greedy pairs depend on its class alone, so every plan on the
+        table gathers them from these.
+        """
+        found = self._greedy_documents.get(symbols)
+        if found is None:
+            is_symbol, wanted = self.symbol_heads(symbols)
+            symbol = is_symbol & (self.arity > 0)
+            matched = np.stack([np.zeros_like(symbol), symbol & wanted, symbol])
+            swap = matched & (self.arity == 2)
+            swap.flags.writeable = False
+            by_arity = np.argsort(-self.arity, kind="stable")
+            loops = []
+            for row in matched[:, by_arity] & (self.arity[by_arity] > 2):
+                apps = by_arity[row]
+                args = self.args[apps]
+                padding = args == self.size
+                for array in (apps, args, padding):
+                    array.flags.writeable = False
+                loops.append(_LoopDocuments(apps, args, padding, np.count_nonzero(~padding, axis=0).tolist()))
+            found = self._greedy_documents[symbols] = swap, swap.any(axis=1).tolist(), loops
+        return found
+
+    @cached_property
+    def arg_places(self) -> list[np.ndarray]:
+        """Each column of ``args``, contiguous and read-only: an argument place of every application."""
+        columns = self.args.T.copy()
+        columns.flags.writeable = False
+        return list(columns)
+
+
+class _LoopDocuments(NamedTuple):
+    """The document applications, of three or more arguments, that one class of query row loops over.
+
+    They are ordered by arity, most arguments first, and ties by position,
+    so the ones with more than ``i`` arguments are the first ``wider[i]``.
+    """
+
+    apps: np.ndarray  # application indexes
+    args: np.ndarray  # their rows of ``NodeTable.args``
+    padding: np.ndarray  # where those rows are padding
+    wider: list[int]
 
 
 def _leaf_terms(docs: NodeTable, key: tuple, classes: int) -> list[tuple[int, int]]:
@@ -293,6 +358,11 @@ def _leaf_terms(docs: NodeTable, key: tuple, classes: int) -> list[tuple[int, in
     return terms
 
 
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate(parts)``, but the part itself when there is one."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 class _ApplyBlock:
     """Query applications of one height that one pass scores, and the ancestors they raise.
 
@@ -310,29 +380,39 @@ class _ApplyBlock:
 
     ``heads`` and each of ``places`` are 1-D positions: the query side picks
     rows of ``sim`` and the document side, one entry per document
-    application, picks columns.  The document sides are ``d_places``, shared
-    by every block of a plan.
+    application, picks columns.  The document sides are the table's
+    ``arg_places``; query places past every row's arity are left out.
 
     Arguments are matched greedily where both heads are symbols and either is
-    commutative.  Where the document has two arguments, ``swap`` holds the
-    mask of those pairs and the places of ``v01`` and ``v10``; padding
-    stands in for a missing second query argument.  Where it has one, the
-    ordered sum is the greedy one.  Only documents with three or more
-    arguments run the greedy loop: ``q_index``/``d_index`` are those pairs,
-    ordered by how many arguments they match, most first, and
-    ``greedy_q[i]`` holds the ``i``-th query argument of each pair that
-    matches more than ``i`` arguments: a prefix of the pairs.
+    commutative, so a row's greedy pairs depend on its class in
+    :meth:`NodeTable.greedy_documents` alone.  Where the document has two
+    arguments, ``swap`` holds the mask of those pairs, rows of the table's
+    ``swap``, and the places of ``v01`` and ``v10``; padding stands in for a
+    missing second query argument.  Where it has one, the ordered sum is the
+    greedy one.  Only documents with three or more arguments run the greedy
+    loop: each row against its class's loop documents.  The pairs are
+    ordered by how many arguments they match, most first, so those that
+    match more than ``i`` arguments, the ``i``-th greedy step, are a prefix.
+    ``d_index`` holds each pair's document application and ``store`` its
+    flat place in the ``(rows, document applications)`` sums; ``greedy[i]``
+    holds, for step ``i``'s pairs, the flat places in ``sim.reshape(-1)`` of
+    the ``i``-th query argument against each document argument.  ``used``
+    marks the padding of the document arguments, and ``offsets`` the first
+    flat place of each pair's row of it.  Blocks without greedy-loop pairs
+    have ``greedy == []`` and none of these.
     """
 
-    def __init__(self, docs: NodeTable, queries: NodeTable, rows: range, symbols, d_places):
+    def __init__(self, docs: NodeTable, queries: NodeTable, rows: range, p: np.ndarray, greedy_class: list[int],
+                 greedy_docs):
         self.rows = rows
-        levels = sorted({j for s in rows for j, _ in queries.ancestors[s]})
-        level_of = {j: i for i, j in enumerate(levels)}
+        ancestors = queries.ancestors
+        levels = sorted({j for s in rows for j, _ in ancestors[s]})
+        first_row = {j: i * len(rows) for i, j in enumerate(levels)}
         self.levels = np.array(levels, dtype=np.intp)
         pairs: dict[int, list[int]] = {}
         for s in rows:
-            for j, u in queries.ancestors[s]:
-                pairs.setdefault(u, []).append(level_of[j] * len(rows) + s - rows.start)
+            for j, u in ancestors[s]:
+                pairs.setdefault(u, []).append(first_row[j] + s - rows.start)
         targets = sorted(pairs, key=lambda u: -len(pairs[u]))
         step = max(1, _CELLS // docs.size)
         self.updates = []
@@ -345,45 +425,58 @@ class _ApplyBlock:
             self.updates.append((np.array(targets[first : first + step]), columns))
 
         apps = slice(rows.start - queries.leaves, rows.stop - queries.leaves)
-        q_args, q_arity = queries.args[apps], queries.arity[apps]
         self.heads = queries.heads[apps]
-        self.places = [(np.ascontiguousarray(q_args[:, i]), d_place)
-                       for i, d_place in enumerate(d_places[: q_args.shape[1]])]
-        self.p = q_arity.astype(float)[:, None]
-        (d_symbol, d_commutative), (q_symbol, q_commutative) = symbols
-        greedy = (
-            (q_symbol[apps] & (q_arity > 0))[:, None]
-            & (d_symbol & (docs.arity > 0))[None, :]
-            & (q_commutative[apps, None] | d_commutative[None, :])
-        )
-        # A one-argument document never swaps: its v01 is padding, 0.
-        swap = greedy & (docs.arity == 2)
+        arity = queries.arity[apps].tolist()
+        d_places = docs.arg_places
+        # Places past the rows' arity are padding, which adds +0.0.
+        self.places = [(q_place[apps], d_place)
+                       for q_place, d_place in zip(queries.arg_places[: max(arity)], d_places)]
+        self.p = p[apps]
+        swap, swaps, loops = greedy_docs
+        classes = greedy_class[apps]
         self.swap = None
-        if swap.any():
+        if any([swaps[c] for c in classes]):
             (q_first, d_first), *rest = self.places
             q_second = rest[0][0] if rest else np.full(len(rows), queries.size)
-            self.swap = swap, (q_first, d_places[1]), (q_second, d_first)
-        q_index, d_index = np.nonzero(greedy & (docs.arity > 2))
-        counts = np.minimum(q_arity[q_index], docs.arity[d_index])
-        order = np.argsort(-counts, kind="stable")
-        self.q_index, self.d_index, counts = q_index[order], d_index[order], counts[order]
-        matching = [int(np.count_nonzero(counts > i)) for i in range(int(counts.max(initial=0)))]
-        self.greedy_q = [q_args[self.q_index[:size], i, None] for i, size in enumerate(matching)]
+            self.swap = swap.take(classes, axis=0), (q_first, d_places[1]), (q_second, d_first)
 
-    def _greedy_sums(self, sim: np.ndarray, docs: NodeTable) -> np.ndarray:
-        """``greedy_sum`` of each greedy pair."""
-        # Gathered per pass: kept in the plan, the document argument lists of
-        # every block at once would outweigh one block's temporaries.
-        d_args = docs.args[self.d_index]
-        used = d_args == docs.size
-        total = np.zeros(len(self.q_index))
-        for q_place in self.greedy_q:
-            size = len(q_place)
-            candidates = sim[q_place, d_args[:size]]
+        # A row matches more than i arguments with the first wider[i] of its
+        # loop documents, up to its own arity.  So its pairs split into runs
+        # that match exactly v, and with the runs ordered by v, falling, each
+        # greedy step's pairs are the runs with v above it.
+        above = [(local, loops[c], loops[c].wider[:a] + [0])
+                 for local, (c, a) in enumerate(zip(classes, arity)) if c]
+        steps = max([len(more) - 1 for *_, more in above], default=0)
+        runs = [(v, local, loop, more[v], more[v - 1])
+                for v in range(steps, 0, -1) for local, loop, more in above
+                if v < len(more) and more[v] < more[v - 1]]
+        self.greedy = []
+        if not runs:
+            return
+        q_args = queries.args[apps].tolist()
+        row_size = docs.size + 1  # of sim
+        self.d_index = _join([loop.apps[lo:hi] for _, _, loop, lo, hi in runs])
+        self.store = _join([loop.apps[lo:hi] + local * len(docs.heads) for _, local, loop, lo, hi in runs])
+        self.used = _join([loop.padding[lo:hi] for _, _, loop, lo, hi in runs])
+        self.offsets = np.arange(0, self.used.size, self.used.shape[1])
+        self.greedy = [
+            _join([loop.args[lo:hi] + q_args[local][i] * row_size for v, local, loop, lo, hi in runs if v > i])
+            for i in range(runs[0][0])
+        ]
+
+    def _greedy_sums(self, sim: np.ndarray) -> np.ndarray:
+        """``greedy_sum`` of each greedy pair: per step, the first best unused argument of each."""
+        used = self.used.copy()
+        flat_used = used.reshape(-1)
+        total = np.zeros(len(self.d_index))
+        for index in self.greedy:
+            size = len(index)
+            candidates = sim.take(index)
             np.copyto(candidates, -1.0, where=used[:size])
-            best = candidates.argmax(axis=1, keepdims=True)
-            total[:size] += np.take_along_axis(candidates, best, axis=1)[:, 0]
-            np.put_along_axis(used[:size], best, True, axis=1)
+            best = candidates.argmax(axis=1)
+            best += self.offsets[:size]
+            total[:size] += candidates.take(best)
+            flat_used[best] = True
         return total
 
     def reach(self, sim: np.ndarray, docs: NodeTable, params: MetricParams) -> np.ndarray:
@@ -400,8 +493,8 @@ class _ApplyBlock:
             v01 = sim.take(q_first, axis=0).take(d_second, axis=1)
             v10 = sim.take(q_second, axis=0).take(d_first, axis=1)
             np.copyto(args, v01 + v10, where=swap & (v01 > v00))
-        if self.q_index.size:
-            args[self.q_index, self.d_index] = self._greedy_sums(sim, docs)
+        if self.greedy:
+            np.put(args, self.store, self._greedy_sums(sim))
         omega = params.omega
         alpha = omega / (self.p + omega)
         beta = 1.0 / (self.p + omega)
@@ -483,19 +576,26 @@ class Plan:
         leaf_rows = dict(zip(leaves, docs.leaf_depths(leaves)))
         j_of: list[int] = []
         codes: list[int] = []
-        self.leaf_groups = []
+        targets: list[int] = []
+        groups = []
         for (row, code), found in terms.items():
             depths = docs.class_depths[row] if row < classes else leaf_rows[row - classes]
-            targets = np.array(list(found), dtype=np.intp)
-            self.leaf_groups.append((slice(len(j_of), len(j_of) + len(found)), depths, targets))
+            groups.append((slice(len(j_of), len(j_of) + len(found)), depths))
+            targets += found
             j_of += found.values()
             codes += [code] * len(found)
+        targets = np.array(targets, dtype=np.intp)
+        self.leaf_groups = [(span, depths, targets[span]) for span, depths in groups]
         self.leaf_j = np.array(j_of, dtype=np.intp)
         self.leaf_codes = np.array(codes, dtype=np.intp)
         self.leaf_width = max(1, _CELLS // max(map(len, terms.values()), default=1))
 
-        symbols = (docs.symbol_heads(commutative), queries.symbol_heads(commutative))
-        d_places = [np.ascontiguousarray(place) for place in docs.args.T]
+        # Per query application, its class in docs.greedy_documents.
+        is_symbol, wanted = (mask.tolist() for mask in queries.symbol_heads(commutative))
+        greedy_class = [1 + commutes if symbol and arity else 0
+                        for symbol, commutes, arity in zip(is_symbol, wanted, queries.arity.tolist())]
+        greedy_docs = docs.greedy_documents(commutative)
+        p = queries.arity[:, None].astype(float)
         # Rows per pass: one row's temporaries hold a few times ``n`` floats per
         # query depth and per argument place.
         step = max(1, _CELLS // ((heights + docs.args.shape[1] + 3) * n))
@@ -505,11 +605,11 @@ class Plan:
             # Every subtree of height h has its descendants done; rows of one
             # height only need lower ones, so the block splits freely.
             blocks = [
-                _ApplyBlock(docs, queries, range(first, min(first + step, hi)), symbols, d_places)
+                _ApplyBlock(docs, queries, range(first, min(first + step, hi)), p, greedy_class, greedy_docs)
                 for first in range(lo, hi, step)
             ]
             self.heights.append((slice(lo, hi), blocks))
-        self.root_index = np.ix_(queries.roots, docs.roots)
+        self.root_index = queries.roots[:, None], docs.roots
 
     def _score_leaves(self, sim: np.ndarray, bounds: np.ndarray, params: MetricParams) -> None:
         """Raise the ``sim`` rows of every query ancestor with its leaves' best."""

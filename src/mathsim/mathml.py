@@ -14,7 +14,6 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Union
-from xml.sax.saxutils import escape, quoteattr
 
 
 class MathMLParseError(ValueError):
@@ -275,15 +274,30 @@ def classify(
     return FormulaClass.NON_FORMULA
 
 
+def _escape(text: str) -> str:
+    # As xml.sax.saxutils.escape, which would import urllib.request.
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(text: str) -> str:
+    """As ``xml.sax.saxutils.quoteattr``: in single quotes if only those need no entity."""
+    text = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"%s"' % text.replace('"', "&quot;")
+
+
 def serialize_expression(tree: ExprTree) -> str:
     """Emit canonical markup; ``parse_expression`` round-trips it exactly."""
     if isinstance(tree, Constant):
-        attr = f" type={quoteattr(tree.num_type)}" if tree.num_type is not None else ""
-        return f"<cn{attr}>{escape(tree.value)}</cn>"
+        attr = f" type={_quoteattr(tree.num_type)}" if tree.num_type is not None else ""
+        return f"<cn{attr}>{_escape(tree.value)}</cn>"
     if isinstance(tree, Variable):
-        return f"<ci>{escape(tree.name)}</ci>"
+        return f"<ci>{_escape(tree.name)}</ci>"
     if isinstance(tree, FunctionSymbol):
-        return f"<csymbol cd={quoteattr(tree.cd)}>{escape(tree.name)}</csymbol>"
+        return f"<csymbol cd={_quoteattr(tree.cd)}>{_escape(tree.name)}</csymbol>"
     parts = [serialize_expression(tree.head)]
     parts.extend(serialize_expression(a) for a in tree.args)
     return "<apply>" + "".join(parts) + "</apply>"

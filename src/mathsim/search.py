@@ -193,7 +193,7 @@ def batch_search(
     n_per_query: Mapping[str, int],
     commutative: frozenset[tuple[str, str]] = DEFAULT_COMMUTATIVE,
 ) -> list[HitList]:
-    """One hit list per query; every query id must have an entry in ``n_per_query``.
+    """One hit list per query; every query id must have an ``int`` entry in ``n_per_query``.
 
     All queries are scored in one pass, so subtrees they share are scored
     once.  Each query's ``n`` best documents are ordered by descending
@@ -203,7 +203,9 @@ def batch_search(
     if missing:
         raise ValueError(f"no hit-list size configured for queries: {', '.join(sorted(missing))}")
     sizes = [n_per_query[q.query_id] for q in queries]
-    for n in sizes:
+    for query, n in zip(queries, sizes):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"hit-list size for {query.query_id!r} must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         if not corpus:

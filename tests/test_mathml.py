@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from mathsim.mathml import (
     Apply,
@@ -215,6 +216,24 @@ class TestTreeBasics:
     @given(tree_strategy)
     def test_serialize_round_trip(self, tree):
         assert parse_expression(serialize_expression(tree)) == tree
+
+
+# Text with every character that markup escapes or quoting depends on.
+MARKUP_TEXT = st.text(st.one_of(st.sampled_from("&<>\"'\n\r\t;#x"), st.characters()))
+
+
+@given(MARKUP_TEXT, MARKUP_TEXT)
+def test_serialize_escapes_as_saxutils(text, attribute):
+    # Imported here only: the package must not import it (see test_cli).
+    from xml.sax.saxutils import escape, quoteattr
+
+    assert serialize_expression(Constant(text, attribute)) == (
+        f"<cn type={quoteattr(attribute)}>{escape(text)}</cn>"
+    )
+    assert serialize_expression(Variable(text)) == f"<ci>{escape(text)}</ci>"
+    assert serialize_expression(FunctionSymbol(text, attribute)) == (
+        f"<csymbol cd={quoteattr(attribute)}>{escape(text)}</csymbol>"
+    )
 
 
 def test_bundled_corpus_round_trips(bundled_corpus):

@@ -155,6 +155,13 @@ class TestSearch:
         with pytest.raises(ValueError, match="empty"):
             search(X, [], bundled_params, 3)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, False, "3", None])
+    def test_non_integer_n_rejected(self, n, bundled_corpus, bundled_params):
+        # Before, 2.5 ended in numpy's TypeError and True made a hit list of n=True.
+        with pytest.raises(ValueError) as raised:
+            search(X, bundled_corpus, bundled_params, n, query_id="q_x")
+        assert str(raised.value) == f"hit-list size for 'q_x' must be an integer, got {n!r}"
+
 
 class TestBatchSearch:
     def test_sizes_respected(self, bundled_corpus, bundled_params, bundled_queries):
@@ -187,6 +194,13 @@ class TestBatchSearch:
         sizes = {first.query_id: 3, second.query_id: 0}
         with pytest.raises(ValueError, match="cannot search an empty corpus"):
             batch_search([first, second], [], bundled_params, sizes)
+
+    @pytest.mark.parametrize("n", [4.0, True])
+    def test_non_integer_size_names_its_query(self, n, bundled_corpus, bundled_params, bundled_queries):
+        first, second = bundled_queries[:2]
+        with pytest.raises(ValueError) as raised:
+            batch_search([first, second], bundled_corpus, bundled_params, {first.query_id: 3, second.query_id: n})
+        assert str(raised.value) == f"hit-list size for {second.query_id!r} must be an integer, got {n!r}"
 
     def test_no_queries_needs_no_corpus(self, bundled_params):
         assert batch_search([], [], bundled_params, {}) == []

@@ -455,9 +455,9 @@ def test_two_argument_swap_equals_per_pair(kind, case, monkeypatch):
     greedy_arities = []
     greedy_sums = engine._ApplyBlock._greedy_sums
 
-    def recording(block, sim_rows, docs_table):
-        greedy_arities.extend(docs_table.arity[block.d_index].tolist())
-        return greedy_sums(block, sim_rows, docs_table)
+    def recording(block, sim_rows):
+        greedy_arities.extend(d_table.arity[block.d_index].tolist())
+        return greedy_sums(block, sim_rows)
 
     monkeypatch.setattr(engine._ApplyBlock, "_greedy_sums", recording)
     got = plan(params)
@@ -479,6 +479,94 @@ def test_two_argument_swap_equals_per_pair(kind, case, monkeypatch):
     assert any(swapped)
     assert any(v00 == v01 > 0 for v00, v01 in firsts)
     assert (0.0, 0.0) in firsts
+
+
+# Greedy ties on the flat path.  Against the first document, x scores zeta
+# with both y and z, so the first query argument ties across document
+# arguments and takes y, the first; y then finds its exact match taken.  An
+# argmax that took the last of equal scores would give x z and y itself.
+TIE_DOCS = [
+    Apply(PLUS, (Y, Z, TWO)),
+    Apply(PLUS, (Y, Z, TWO, X)),
+    Apply(TIMES, (Z, Y, Y)),
+    Apply(PLUS, (TWO, HALF, Constant("3"), Y)),
+    Apply(MINUS, (Y, Z, X)),
+    Apply(TIMES, (Apply(SIN, (X,)), Apply(SIN, (Y,)), X, Z)),
+]
+TIE_QUERIES = [
+    Apply(head, args) for head in (PLUS, MINUS)
+    for args in ((X,), (X, Y), (X, Y, Z), (X, Y, TWO, Z), (TWO, HALF), (Apply(SIN, (Z,)), X, Y))
+]
+
+
+def _first_best(scores):
+    return scores.index(max(scores))
+
+
+@pytest.mark.parametrize("kind", DECAY_KINDS)
+def test_greedy_ties_equal_per_pair(kind, monkeypatch):
+    commutative = DEFAULT_COMMUTATIVE
+    assert ("arith1", "minus") not in commutative
+    params = make_params(omega=3.1, decay_model=kind, dp_rate=0.3, cp_rate=0.2)
+    q_table, d_table = NodeTable(TIE_QUERIES), NodeTable(TIE_DOCS)
+    plan = Plan(d_table, q_table, commutative)
+    greedy_arities = []
+    greedy_sums = engine._ApplyBlock._greedy_sums
+
+    def recording(block, sim_rows):
+        greedy_arities.extend(d_table.arity[block.d_index].tolist())
+        return greedy_sums(block, sim_rows)
+
+    monkeypatch.setattr(engine._ApplyBlock, "_greedy_sums", recording)
+    reference = np.array([[sim(q, d, params, commutative) for d in TIE_DOCS] for q in TIE_QUERIES])
+    assert plan(params).tobytes() == reference.tobytes()
+    assert set(greedy_arities) == {3, 4}
+    # The greedy pairs must hold first-argument ties and taken best columns.
+    context = metric._SimContext(params, commutative)
+    wide = [(q.args, d.args) for q in TIE_QUERIES for d in TIE_DOCS
+            if len(d.args) > 2 and (q.head == PLUS or d.head in (PLUS, TIMES))]
+    assert {len(q_args) for q_args, _ in wide} == {1, 2, 3, 4}
+    firsts = [[context.sim(q_args[0], arg) for arg in d_args] for q_args, d_args in wide]
+    assert any(scores.count(max(scores)) > 1 for scores in firsts)
+    assert any(
+        _first_best([context.sim(q_args[1], arg) for arg in d_args]) == _first_best(scores)
+        for (q_args, d_args), scores in zip(wide, firsts) if len(q_args) > 1
+    )
+
+
+def test_greedy_documents_kept_per_commutative_set(bundled_corpus, bundled_queries, bundled_params):
+    # A fresh load of the documents, so no other test has asked its table.
+    corpus = Corpus(bundled_corpus)
+    table = corpus.table
+    times_only = frozenset({("arith1", "times")})
+    first = table.greedy_documents(DEFAULT_COMMUTATIVE)
+    for commutative in (DEFAULT_COMMUTATIVE, times_only, DEFAULT_COMMUTATIVE):
+        cached = table.greedy_documents(commutative)
+        swap, swaps, loops = cached
+        is_symbol, wanted = _expected_symbol_heads(table, commutative)
+        symbol = is_symbol & (table.arity > 0)
+        # No greedy matching; a symbol head; a commutative symbol head.
+        for c, matched in enumerate([np.zeros_like(symbol), symbol & wanted, symbol]):
+            assert swap[c].tolist() == (matched & (table.arity == 2)).tolist()
+            assert swaps[c] == bool(swap[c].any())
+            loop, args, padding, wider = loops[c]
+            expected = sorted(np.flatnonzero(matched & (table.arity > 2)).tolist(),
+                              key=lambda a: -table.arity[a])
+            assert loop.tolist() == expected
+            assert args.tolist() == table.args[loop].tolist()
+            assert padding.tolist() == (table.args[loop] == table.size).tolist()
+            assert wider == [sum(int(table.arity[a]) > i for a in expected) for i in range(table.args.shape[1])]
+            assert not any(array.flags.writeable for array in (swap, loop, args, padding))
+        assert loops[0][0].size == 0 and loops[1][0].size and loops[2][0].size
+        # Every plan on the table gathers its greedy pairs from the cached rows.
+        for queries in (bundled_queries, *(Corpus([q]) for q in bundled_queries)):
+            plan = Plan(table, queries.table, commutative)
+            blocks = [block for _, height in plan.heights for block in height if block.greedy]
+            assert blocks
+            assert any(np.shares_memory(block.used, loops[c][2]) for block in blocks for c in (1, 2))
+        assert table.greedy_documents(commutative) is cached
+        assert_shared_equals_per_pair(bundled_queries[:4], corpus, bundled_params, commutative)
+    assert table.greedy_documents(DEFAULT_COMMUTATIVE) is first
 
 
 # The leaf stage.  In the first document f(x) sits at depths 1 and 2 below
