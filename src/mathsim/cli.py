@@ -121,6 +121,21 @@ def _table(config: RunConfig) -> evaluation.CriticalValueTable:
     )
 
 
+def _tuning(
+    config: RunConfig,
+) -> tuple[metric.MetricParams, optimizer.ParamSpace, optimizer.SearchObjective]:
+    """The seed parameters, the space and the objective that ``optimize`` and ``xval`` tune."""
+    params, symbols = _load_params(config)
+    space = _load_space(config)
+    corpus = load_corpus(config.corpus_dir, symbols)
+    queries = load_queries(config.queries_dir)
+    truths = evaluation.read_ground_truth_csv(config.truth_file)
+    objective_fn = optimizer.SearchObjective(
+        corpus, queries, truths, config.weights, symbols.commutative, _table(config)
+    )
+    return params, space, objective_fn
+
+
 def _format_tree(tree: mathml.ExprTree, indent: int = 0) -> list[str]:
     pad = "  " * indent
     if isinstance(tree, mathml.Constant):
@@ -198,14 +213,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    params, symbols = _load_params(config)
-    space = _load_space(config)
-    corpus = load_corpus(config.corpus_dir, symbols)
-    queries = load_queries(config.queries_dir)
-    truths = evaluation.read_ground_truth_csv(config.truth_file)
-    objective_fn = optimizer.SearchObjective(
-        corpus, queries, truths, config.weights, symbols.commutative, _table(config)
-    )
+    params, space, objective_fn = _tuning(config)
     # One worker per decay model, no more than there are cores.
     workers = min(os.cpu_count() or 1, len(metric.DECAY_KINDS))
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
@@ -236,16 +244,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_xval(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    params, symbols = _load_params(config)
-    space = _load_space(config)
-    corpus = load_corpus(config.corpus_dir, symbols)
-    queries = load_queries(config.queries_dir)
-    truths = evaluation.read_ground_truth_csv(config.truth_file)
+    params, space, objective_fn = _tuning(config)
     split_seed = args.seed if args.seed is not None else config.split_seed
-    report = optimizer.cross_validate(
-        corpus, queries, truths, space, config.weights, split_seed,
-        seed_params=params, commutative=symbols.commutative, table=_table(config),
-    )
+    report = optimizer.cross_validate(objective_fn, space, split_seed, params)
     text = optimizer.xval_to_csv_text(report)
     (config.output_dir / "xval.csv").write_text(text, encoding="utf-8")
     optimizer.write_xval_json(report, config.output_dir / "xval.json")

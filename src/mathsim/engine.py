@@ -128,7 +128,7 @@ class NodeTable:
 
     What plans on the table share is kept on it, read-only, and computed on
     first use: the walk, least leaf depths, ``arg_places``, and per
-    commutative set :meth:`symbol_heads` and :meth:`greedy_documents`.
+    commutative set :meth:`greedy_classes` and :meth:`greedy_documents`.
     """
 
     def __init__(self, trees: Sequence[ExprTree]):
@@ -161,7 +161,7 @@ class NodeTable:
         width = max(map(len, children), default=1) - 1
         self.args = np.array([c[1:] + [self.size] * (width + 1 - len(c)) for c in children],
                              dtype=np.intp).reshape(len(children), width)
-        self._symbol_heads: dict[frozenset, tuple[np.ndarray, np.ndarray]] = {}
+        self._greedy_classes: dict[frozenset, np.ndarray] = {}
         self._greedy_documents: dict[frozenset, tuple[np.ndarray, list[bool], list[_LoopDocuments]]] = {}
         self._leaf_depths: dict[int, np.ndarray] = {}
 
@@ -265,20 +265,20 @@ class NodeTable:
             self._leaf_depths.update(zip(missing, self._least_depths(found)))
         return [self._leaf_depths[t] for t in leaves]
 
-    def symbol_heads(self, symbols: frozenset[tuple[str, str]]) -> tuple[np.ndarray, np.ndarray]:
-        """Per application: is its head a symbol, and is that symbol in ``symbols``.
+    def greedy_classes(self, symbols: frozenset[tuple[str, str]]) -> np.ndarray:
+        """Per application, how it matches arguments: its greedy class.
 
-        Kept per ``symbols``, read-only, so a document table shared by many
-        plans computes them once.
+        0: in order (its head is no symbol, or it has no arguments); 1: a
+        symbol head; 2: a symbol head in ``symbols``.  Kept per ``symbols``,
+        read-only, so a document table shared by many plans computes them once.
         """
-        found = self._symbol_heads.get(symbols)
+        found = self._greedy_classes.get(symbols)
         if found is None:
             heads = [self.leaf_keys[h] if h < self.leaves else (_APPLY,) for h in self.heads.tolist()]
-            found = (np.array([key[0] == SYMBOL for key in heads], dtype=bool),
-                     np.array([key[0] == SYMBOL and key[1:] in symbols for key in heads], dtype=bool))
-            for mask in found:
-                mask.flags.writeable = False
-            self._symbol_heads[symbols] = found
+            found = np.array([1 + (key[1:] in symbols) if key[0] == SYMBOL and arity else 0
+                              for key, arity in zip(heads, self.arity.tolist())], dtype=np.int8)
+            found.flags.writeable = False
+            self._greedy_classes[symbols] = found
         return found
 
     def greedy_documents(
@@ -286,25 +286,23 @@ class NodeTable:
     ) -> tuple[np.ndarray, list[bool], list[_LoopDocuments]]:
         """``(swap, swaps, loops)``: what each class of query application matches greedily.
 
-        The classes are: no greedy matching (the head is no symbol, or there
-        are no arguments), a symbol head, and a symbol head in ``symbols``.
-        A symbol head matches the applications with a symbol head in
-        ``symbols`` greedily; one in ``symbols``, every application with a
-        symbol head.  Per class ``c``, of those it matches:
+        The classes are those of :meth:`greedy_classes`.  A symbol head
+        matches the applications with a symbol head in ``symbols`` greedily;
+        one in ``symbols``, every application with a symbol head.  Per class
+        ``c``, of those it matches:
 
         - ``swap[c]`` marks the ones with two arguments, and ``swaps[c]``
           says whether there are any;
         - ``loops[c]`` holds the ones with three or more.
 
-        Kept per ``symbols``, read-only, like :meth:`symbol_heads`: a query
+        Kept per ``symbols``, read-only, like :meth:`greedy_classes`: a query
         row's greedy pairs depend on its class alone, so every plan on the
         table gathers them from these.
         """
         found = self._greedy_documents.get(symbols)
         if found is None:
-            is_symbol, wanted = self.symbol_heads(symbols)
-            symbol = is_symbol & (self.arity > 0)
-            matched = np.stack([np.zeros_like(symbol), symbol & wanted, symbol])
+            classes = self.greedy_classes(symbols)
+            matched = np.stack([np.zeros(len(classes), dtype=bool), classes == 2, classes > 0])
             swap = matched & (self.arity == 2)
             swap.flags.writeable = False
             by_arity = np.argsort(-self.arity, kind="stable")
@@ -590,10 +588,7 @@ class Plan:
         self.leaf_codes = np.array(codes, dtype=np.intp)
         self.leaf_width = max(1, _CELLS // max(map(len, terms.values()), default=1))
 
-        # Per query application, its class in docs.greedy_documents.
-        is_symbol, wanted = (mask.tolist() for mask in queries.symbol_heads(commutative))
-        greedy_class = [1 + commutes if symbol and arity else 0
-                        for symbol, commutes, arity in zip(is_symbol, wanted, queries.arity.tolist())]
+        greedy_class = queries.greedy_classes(commutative).tolist()
         greedy_docs = docs.greedy_documents(commutative)
         p = queries.arity[:, None].astype(float)
         # Rows per pass: one row's temporaries hold a few times ``n`` floats per

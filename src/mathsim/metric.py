@@ -205,29 +205,36 @@ class SymbolConfig:
     inequality: frozenset[tuple[str, str]] = DEFAULT_INEQUALITY_SYMBOLS
 
 
-def _symbol_set(entries: list) -> frozenset[tuple[str, str]]:
-    if not isinstance(entries, list) or not all(
-        isinstance(entry, list) and len(entry) == 2 for entry in entries
-    ):
-        raise ValueError(f"a symbol set must be a list of [cd, name] pairs, got {entries!r}")
-    return frozenset((str(cd), str(name)) for cd, name in entries)
+# Params-file key of each symbol set, and the SymbolConfig field it fills.
+_SYMBOL_SET_KEYS = {"commutative": "commutative", "equality_symbols": "equality",
+                    "inequality_symbols": "inequality"}
+
+
+def _symbol_set(key: str, entries: list) -> frozenset[tuple[str, str]]:
+    if not isinstance(entries, list):
+        raise ValueError(f"{key} must be a list of [cd, name] pairs, got {entries!r}")
+    for entry in entries:
+        # Only strings: a number or null here is a slip, not a symbol name.
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(isinstance(part, str) for part in entry)):
+            raise ValueError(f"{key} entry {json.dumps(entry)} is not a [cd, name] pair of strings")
+    return frozenset(map(tuple, entries))
 
 
 def load_params(path: str | Path) -> tuple[MetricParams, SymbolConfig]:
-    """Read a params JSON document, including any symbol-set overrides."""
+    """Read a params JSON document, including any symbol-set overrides.
+
+    A key that is neither a :class:`MetricParams` field nor a symbol set is
+    an error, so a misspelt set cannot fall back to the default unnoticed.
+    """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     params = MetricParams.from_dict(data)
-    symbols = SymbolConfig(
-        commutative=_symbol_set(data["commutative"])
-        if "commutative" in data
-        else DEFAULT_COMMUTATIVE,
-        equality=_symbol_set(data["equality_symbols"])
-        if "equality_symbols" in data
-        else DEFAULT_EQUALITY_SYMBOLS,
-        inequality=_symbol_set(data["inequality_symbols"])
-        if "inequality_symbols" in data
-        else DEFAULT_INEQUALITY_SYMBOLS,
-    )
+    unknown = sorted(data.keys() - params.to_dict().keys() - _SYMBOL_SET_KEYS.keys())
+    if unknown:
+        raise ValueError(f"params document has unknown keys: {', '.join(unknown)}")
+    symbols = SymbolConfig(**{
+        name: _symbol_set(key, data[key]) for key, name in _SYMBOL_SET_KEYS.items() if key in data
+    })
     return params, symbols
 
 

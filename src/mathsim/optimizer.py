@@ -14,7 +14,7 @@ import json
 import math
 import random
 import warnings
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -35,6 +35,8 @@ ObjectiveFn = Callable[[MetricParams], tuple[float, AverageRow]]
 
 GENERATION_CAP = 25
 DEFAULT_TOLERANCE = 1e-9
+# Trial values one grid may hold; each is built and validated up front.
+MAX_GRID_VALUES = 10_000
 
 
 @dataclass(frozen=True)
@@ -55,9 +57,19 @@ class GridRange:
             raise ValueError(f"step must be > 0, got {self.step}")
         if self.min > self.max:
             raise ValueError(f"empty range: min {self.min} > max {self.max}")
+        # Counted before any value is built: a tiny step would ask for billions.
+        if self._steps() >= MAX_GRID_VALUES:
+            raise ValueError(
+                f"step {self.step} from {self.min} to {self.max} gives more than "
+                f"{MAX_GRID_VALUES} trial values"
+            )
+
+    def _steps(self) -> float:
+        """Whole steps from min to max, to within rounding; may be infinite."""
+        return (self.max - self.min) / self.step + 1e-9
 
     def values(self) -> tuple[float, ...]:
-        count = int(math.floor((self.max - self.min) / self.step + 1e-9)) + 1
+        count = int(math.floor(self._steps())) + 1
         return tuple(round(self.min + i * self.step, 10) for i in range(count))
 
 
@@ -157,8 +169,8 @@ class SearchObjective:
     Every query needs a ground truth and every ground truth a query; the
     pairing is checked once, at construction (:func:`truth_sizes`).
     ``observer``, when set, receives the parameter set and the tuple of query
-    ids on every evaluation; the cross-validation harness uses it to prove
-    that held-out queries never feed a training decision.
+    ids on every evaluation; :func:`cross_validate` keeps it on every phase,
+    whose ids prove that held-out queries never feed a training decision.
     """
 
     corpus: Sequence[DocumentRecord]
@@ -366,34 +378,22 @@ class XValReport:
     test_ids: tuple[str, ...]
 
 
-def _notify(observer, phase: str, params: MetricParams, query_ids: tuple[str, ...]) -> None:
-    if observer is not None:
-        observer(phase, params.decay_model, query_ids)
-
-
 def cross_validate(
-    corpus: Sequence[DocumentRecord],
-    queries: Sequence[Query],
-    truths: Sequence[GroundTruth],
+    objective: SearchObjective,
     space: ParamSpace,
-    weights: ObjectiveWeights,
     split_seed: int,
     seed_params: MetricParams,
-    commutative: frozenset[tuple[str, str]],
-    table: CriticalValueTable,
-    observer: Callable[[str, str, tuple[str, ...]], None] | None = None,
 ) -> XValReport:
-    """Optimize per model both on all queries and on a seeded half-split.
+    """Optimize per model both on all of ``objective``'s queries and on a seeded half-split.
 
     The ``without_cv`` rows are trained and evaluated on the full query set;
     the ``with_cv`` rows are trained on the training half and evaluated on
     the held-out half (an odd query gives the training side the extra one).
-    ``observer`` receives ``(phase, decay model, query ids)`` on every
-    evaluation, with phase ``full``, ``train`` or ``test``.
+    Each half is ``objective`` cut to its queries and truths, observer and all.
     """
-    if len(queries) < 2:
+    if len(objective.queries) < 2:
         raise ValueError("cross-validation needs at least 2 queries")
-    ids = sorted(q.query_id for q in queries)
+    ids = sorted(q.query_id for q in objective.queries)
     rng = random.Random(split_seed)
     shuffled = list(ids)
     rng.shuffle(shuffled)
@@ -401,20 +401,16 @@ def cross_validate(
     train_set = set(shuffled[:n_train])
     test_set = set(ids) - train_set
 
-    def objective_on(phase: str, kept: set[str]) -> SearchObjective:
-        return SearchObjective(
-            corpus,
-            Corpus(q for q in queries if q.query_id in kept),
-            [t for t in truths if t.query_id in kept],
-            weights, commutative, table, observer=partial(_notify, observer, phase),
+    def objective_on(kept: set[str]) -> SearchObjective:
+        return replace(
+            objective,
+            queries=Corpus(q for q in objective.queries if q.query_id in kept),
+            truths=[t for t in objective.truths if t.query_id in kept],
         )
 
-    # The full set keeps every truth, so its pairing check sees them all.
-    full_obj = objective_on("full", {*ids, *(t.query_id for t in truths)})
-    train_obj = objective_on("train", train_set)
-    test_obj = objective_on("test", test_set)
-    full = optimize_all(space, seed_params, full_obj)
-    train = optimize_all(space, seed_params, train_obj)
+    full = optimize_all(space, seed_params, objective)
+    train = optimize_all(space, seed_params, objective_on(train_set))
+    test_obj = objective_on(test_set)
 
     def row(kind: str, protocol: str, avg: AverageRow) -> XValRow:
         return XValRow(kind, protocol, avg.overall_recall, avg.top10_recall, avg.rho, avg.tau)

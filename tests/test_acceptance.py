@@ -227,18 +227,21 @@ def test_criterion_9_xval_hygiene(bundled_corpus, bundled_queries, bundled_truth
             {"omega": GridRange(2.0, 3.0, 1.0), "zeta": GridRange(0.0, 0.5, 0.5)},
         )
         events = []
-        report = cross_validate(
-            bundled_corpus, bundled_queries, bundled_truths, space, ObjectiveWeights(),
-            split_seed=17, seed_params=default_seed_params(space),
-            commutative=bundled_symbols.commutative, table=mc_table,
-            observer=lambda phase, model, ids: events.append((phase, model, frozenset(ids))),
+        objective_fn = SearchObjective(
+            bundled_corpus, bundled_queries, bundled_truths, ObjectiveWeights(),
+            bundled_symbols.commutative, mc_table,
+            observer=lambda params, ids: events.append((params.decay_model, frozenset(ids))),
         )
-        all_ids = {q.query_id for q in bundled_queries}
-        train, test = set(report.train_ids), set(report.test_ids)
+        report = cross_validate(objective_fn, space, split_seed=17,
+                                seed_params=default_seed_params(space))
+        all_ids = frozenset(q.query_id for q in bundled_queries)
+        train, test = frozenset(report.train_ids), frozenset(report.test_ids)
         assert train | test == all_ids and not (train & test)
-        train_events = [e for e in events if e[0] == "train"]
-        assert train_events, "training evaluations must be observed"
-        assert all(not (ids & test) for _, _, ids in train_events)
+        # Each evaluation scores the full set or one half, so none trains on a mix.
+        assert {ids for _, ids in events} <= {all_ids, train, test}
+        assert any(ids == train for _, ids in events), "training evaluations must be observed"
+        held_out = sorted(model for model, ids in events if ids == test)
+        assert held_out == sorted(DECAY_KINDS), "each model is tested once on the held-out half"
         assert len(report.rows) == 2 * len(DECAY_KINDS)
         text = xval_to_csv_text(report)
         lines = text.strip().splitlines()

@@ -369,10 +369,14 @@ class TestExitCodes:
         ("params_file", {"delta": "0.3"}),
         ("params_file", {"omega": None}),
         ("params_file", {"commutative": [1]}),
+        ("params_file", {"commutative": [["arith1", 5]]}),
+        ("params_file", {"equality_symbols": [[True, None]]}),
+        ("params_file", {"comutative": [["arith1", "plus"]]}),
         ("space_file", {"ranges": {"omega": {"min": "a", "max": 3.0, "step": 0.5}}}),
         ("space_file", [1]),
         ("space_file", {"ranges": None}),
     ], ids=["params-list", "delta-string", "omega-null", "commutative-int",
+            "commutative-name-int", "equality-bool-null", "misspelt-commutative",
             "range-min-string", "space-list", "ranges-null"])
     def test_malformed_params_or_space_is_config_error(self, tmp_path, capsys, key, document):
         if isinstance(document, dict):

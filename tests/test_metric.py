@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +153,22 @@ class TestParamsValidation:
         path = tmp_path / "p.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=f"{field} must be a number, got {value}"):
+            load_params(path)
+
+    @pytest.mark.parametrize("entry", [["arith1", 5], [True, None], ["arith1", ["plus"]]])
+    def test_symbol_set_entry_must_be_two_strings(self, tmp_path, entry):
+        data = {**make_params().to_dict(), "commutative": [["arith1", "plus"], entry]}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=re.escape(f"commutative entry {json.dumps(entry)} is not")):
+            load_params(path)
+
+    def test_unknown_key_rejected(self, tmp_path):
+        # A misspelt set would otherwise leave the default set in force.
+        data = {**make_params().to_dict(), "comutative": [["arith1", "plus"]]}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="unknown keys: comutative"):
             load_params(path)
 
     def test_missing_key_reported(self):

@@ -10,6 +10,7 @@ from mathsim.evaluation import AverageRow, GroundTruth
 from mathsim.mathml import Apply, FormulaClass, FunctionSymbol, Variable
 from mathsim.metric import DECAY_KINDS, DEFAULT_COMMUTATIVE
 from mathsim.optimizer import (
+    MAX_GRID_VALUES,
     GridRange,
     ObjectiveWeights,
     ParamSpace,
@@ -65,6 +66,20 @@ class TestGridRange:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             GridRange(1.0, 0.0, 0.1)
+
+    def test_grid_cap_counts_before_building(self):
+        assert len(GridRange(0.0, MAX_GRID_VALUES - 1.0, 1.0).values()) == MAX_GRID_VALUES
+        with pytest.raises(ValueError, match=f"more than {MAX_GRID_VALUES} trial values"):
+            GridRange(0.0, float(MAX_GRID_VALUES), 1.0)
+        # A step so small the count is infinite.
+        with pytest.raises(ValueError, match="trial values"):
+            GridRange(0.0, 0.99, 5e-324)
+
+    def test_oversized_grid_names_its_parameter(self):
+        step = 1.0 / MAX_GRID_VALUES  # one value over the cap, 0 and 1 included
+        spec = {"order": ["zeta"], "ranges": {"zeta": {"min": 0.0, "max": 1.0, "step": step}}}
+        with pytest.raises(ValueError, match=r"trial values, in the range of zeta$"):
+            ParamSpace.from_dict(spec)
 
     @pytest.mark.parametrize("field,value,message", [
         ("max", math.inf, "finite"),
@@ -389,8 +404,9 @@ def tiny_world(n_queries=6):
 
 def run_xval(corpus, queries, truths, space, split_seed, table, observer=None):
     """cross_validate with default weights, seed parameters and commutative pairs."""
-    return cross_validate(corpus, queries, truths, space, ObjectiveWeights(), split_seed,
-                          default_seed_params(space), DEFAULT_COMMUTATIVE, table, observer)
+    objective_fn = SearchObjective(corpus, queries, truths, ObjectiveWeights(),
+                                   DEFAULT_COMMUTATIVE, table, observer)
+    return cross_validate(objective_fn, space, split_seed, default_seed_params(space))
 
 
 class TestSearchObjectivePairing:
@@ -423,9 +439,10 @@ class TestCrossValidate:
         corpus, queries, truths, space = tiny_world()
         weights = ObjectiveWeights()
         seed = default_seed_params(space)
-        report = cross_validate(corpus, queries, truths, space, weights, split_seed=3,
-                                seed_params=seed, commutative=DEFAULT_COMMUTATIVE,
-                                table=mc_table)
+        report = cross_validate(
+            SearchObjective(corpus, queries, truths, weights, DEFAULT_COMMUTATIVE, mc_table),
+            space, split_seed=3, seed_params=seed,
+        )
 
         def on(ids):
             return SearchObjective(corpus, [q for q in queries if q.query_id in ids],
@@ -493,18 +510,15 @@ class TestCrossValidate:
         events = []
         report = run_xval(
             corpus, queries, truths, space, 3, mc_table,
-            observer=lambda phase, model, ids: events.append((phase, model, ids)),
+            observer=lambda params, ids: events.append((params.decay_model, frozenset(ids))),
         )
-        test_ids = set(report.test_ids)
-        train_events = [e for e in events if e[0] == "train"]
-        assert train_events
-        for _, _, ids in train_events:
-            assert not (set(ids) & test_ids)
-        # the held-out evaluation sees exactly the test half, once per model
-        test_events = [e for e in events if e[0] == "test"]
-        assert len(test_events) == len(DECAY_KINDS)
-        for _, _, ids in test_events:
-            assert set(ids) == test_ids
+        full = frozenset(q.query_id for q in queries)
+        train, test = frozenset(report.train_ids), frozenset(report.test_ids)
+        # Every evaluation scores the full set or one half, never a mix.
+        assert {ids for _, ids in events} <= {full, train, test}
+        assert any(ids == train for _, ids in events)
+        # The held-out half is evaluated exactly once per model.
+        assert sorted(model for model, ids in events if ids == test) == sorted(DECAY_KINDS)
 
     def test_too_few_queries_rejected(self, mc_table):
         corpus, queries, truths, space = tiny_world(n_queries=1)

@@ -374,28 +374,56 @@ def test_ancestor_update_stride_equals_per_pair(
         assert plan(params).tobytes() == reference.tobytes(), setting
 
 
-def _expected_symbol_heads(table, symbols):
-    keys = list(table.leaf_position)  # in position order
-    heads = [keys[h] if h < table.leaves else None for h in table.heads.tolist()]
-    is_symbol = [key is not None and key[0] == engine.SYMBOL for key in heads]
-    wanted = [flag and key[1:] in symbols for flag, key in zip(is_symbol, heads)]
-    return np.array(is_symbol), np.array(wanted)
+def _expected_greedy_classes(table, trees, symbols):
+    """Each application's greedy class, read off the trees by walking them beside the table.
+
+    0: no symbol head or no arguments, 1: a symbol head, 2: one in ``symbols``;
+    the metric matches arguments greedily where both heads are symbols and
+    either is in ``symbols``.
+    """
+    classes = {}
+    stack = list(zip(trees, table.roots.tolist()))
+    while stack:
+        node, pos = stack.pop()
+        if pos < table.leaves:
+            continue
+        app = pos - table.leaves
+        head = node.head
+        symbol = isinstance(head, FunctionSymbol) and len(node.args) > 0
+        expected = 1 + ((head.cd, head.name) in symbols) if symbol else 0
+        assert classes.setdefault(app, expected) == expected
+        stack.append((head, int(table.heads[app])))
+        stack.extend(zip(node.args, table.args[app, : table.arity[app]].tolist()))
+    assert sorted(classes) == list(range(len(table.heads)))
+    return np.array([classes[app] for app in range(len(table.heads))])
 
 
-def test_symbol_heads_kept_per_commutative_set(bundled_corpus, bundled_queries, bundled_params):
+# An applied head and an application without arguments are class 0, which
+# the bundled files do not have.
+CLASS_TREES = [Apply(Apply(PLUS, (X,)), (Y, X)), Apply(TIMES, ()), Apply(SIN, (X,)), Apply(TIMES, (X, Y))]
+
+
+def test_greedy_classes_kept_per_commutative_set(bundled_corpus, bundled_queries, bundled_params):
     # A fresh load of the documents, so no other test has asked its table.
     corpus = Corpus(bundled_corpus)
     table = corpus.table
+    trees = [record.tree for record in corpus]
     times_only = frozenset({("arith1", "times")})
-    first = table.symbol_heads(DEFAULT_COMMUTATIVE)
-    assert table.symbol_heads(times_only)[1].tolist() != first[1].tolist()
+    first = table.greedy_classes(DEFAULT_COMMUTATIVE)
+    assert table.greedy_classes(times_only).tolist() != first.tolist()
     for commutative in (DEFAULT_COMMUTATIVE, times_only, DEFAULT_COMMUTATIVE):
-        got = table.symbol_heads(commutative)
-        for mask, expected in zip(got, _expected_symbol_heads(table, commutative)):
-            assert mask.tolist() == expected.tolist()
-            assert not mask.flags.writeable
+        got = table.greedy_classes(commutative)
+        assert got.tolist() == _expected_greedy_classes(table, trees, commutative).tolist()
+        assert not got.flags.writeable
         assert_shared_equals_per_pair(bundled_queries[:4], corpus, bundled_params, commutative)
-    assert table.symbol_heads(DEFAULT_COMMUTATIVE) is first
+    assert table.greedy_classes(DEFAULT_COMMUTATIVE) is first
+    # Query tables, whose classes a plan reads, and every class on one table.
+    for mixed in ([q.tree for q in bundled_queries], [*trees, *CLASS_TREES]):
+        mixed_table = NodeTable(mixed)
+        for commutative in (DEFAULT_COMMUTATIVE, times_only):
+            expected = _expected_greedy_classes(mixed_table, mixed, commutative)
+            assert mixed_table.greedy_classes(commutative).tolist() == expected.tolist()
+    assert set(NodeTable(CLASS_TREES).greedy_classes(times_only).tolist()) == {0, 1, 2}
 
 
 # Arguments for the two-argument swap: symbols of their own content
@@ -543,10 +571,9 @@ def test_greedy_documents_kept_per_commutative_set(bundled_corpus, bundled_queri
     for commutative in (DEFAULT_COMMUTATIVE, times_only, DEFAULT_COMMUTATIVE):
         cached = table.greedy_documents(commutative)
         swap, swaps, loops = cached
-        is_symbol, wanted = _expected_symbol_heads(table, commutative)
-        symbol = is_symbol & (table.arity > 0)
+        classes = _expected_greedy_classes(table, [record.tree for record in corpus], commutative)
         # No greedy matching; a symbol head; a commutative symbol head.
-        for c, matched in enumerate([np.zeros_like(symbol), symbol & wanted, symbol]):
+        for c, matched in enumerate([np.zeros(len(classes), dtype=bool), classes == 2, classes > 0]):
             assert swap[c].tolist() == (matched & (table.arity == 2)).tolist()
             assert swaps[c] == bool(swap[c].any())
             loop, args, padding, wider = loops[c]
