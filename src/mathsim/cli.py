@@ -3,7 +3,9 @@
 Subcommands: ``parse`` (debug a single file), ``search``, ``evaluate``,
 ``optimize`` and ``xval``.  All but ``parse`` are driven by a JSON config
 file whose relative paths resolve against the config file's directory.
-Exit codes: 0 success, 1 usage or configuration error, 2 data error.
+Exit codes: 0 success; 1 a usage error, or a bad config file or params or
+space file it names; 2 any other input that cannot be read or parsed.
+Commands raise and never catch: :func:`main` alone maps errors to codes.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from typing import Callable
 
 from . import evaluation, mathml, metric, optimizer
 from .search import (
-    CorpusLoadError,
     batch_search,
     load_corpus,
     load_queries,
+    read_expression,
     read_hitlists_csv,
     search,
     write_hitlists_csv,
@@ -82,11 +84,7 @@ def load_config(path: str | Path) -> RunConfig:
         if not isinstance(seeds, dict):
             raise ConfigError(f"config {config_path}: seeds must be an object, got {seeds!r}")
         config = RunConfig(
-            corpus_dir=paths["corpus_dir"],
-            queries_dir=paths["queries_dir"],
-            truth_file=paths["truth_file"],
-            params_file=paths["params_file"],
-            space_file=paths["space_file"],
+            **paths,
             weights=weights,
             split_seed=_seed(config_path, seeds, "split_seed", 1),
             mc_seed=_seed(config_path, seeds, "mc_seed", evaluation.DEFAULT_MC_SEED),
@@ -101,18 +99,12 @@ def load_config(path: str | Path) -> RunConfig:
     return config
 
 
-def _load_params(config: RunConfig) -> tuple[metric.MetricParams, metric.SymbolConfig]:
+def _read_configured(load: Callable, path: Path, what: str):
+    """``load(path)`` for a file the config names; its errors are config errors."""
     try:
-        return metric.load_params(config.params_file)
+        return load(path)
     except (ValueError, OSError) as exc:
-        raise ConfigError(f"bad params file {config.params_file}: {exc}") from exc
-
-
-def _load_space(config: RunConfig) -> optimizer.ParamSpace:
-    try:
-        return optimizer.load_param_space(config.space_file)
-    except (KeyError, ValueError, OSError) as exc:
-        raise ConfigError(f"bad parameter-space file {config.space_file}: {exc}") from exc
+        raise ConfigError(f"bad {what} file {path}: {exc}") from exc
 
 
 def _table(config: RunConfig) -> evaluation.CriticalValueTable:
@@ -125,8 +117,8 @@ def _tuning(
     config: RunConfig,
 ) -> tuple[metric.MetricParams, optimizer.ParamSpace, optimizer.SearchObjective]:
     """The seed parameters, the space and the objective that ``optimize`` and ``xval`` tune."""
-    params, symbols = _load_params(config)
-    space = _load_space(config)
+    params, symbols = _read_configured(metric.load_params, config.params_file, "params")
+    space = _read_configured(optimizer.load_param_space, config.space_file, "parameter-space")
     corpus = load_corpus(config.corpus_dir, symbols)
     queries = load_queries(config.queries_dir)
     truths = evaluation.read_ground_truth_csv(config.truth_file)
@@ -152,15 +144,7 @@ def _format_tree(tree: mathml.ExprTree, indent: int = 0) -> list[str]:
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    path = Path(args.file)
-    try:
-        tree = mathml.parse_expression(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (mathml.MathMLParseError, UnicodeDecodeError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    tree = read_expression(args.file)
     print("\n".join(_format_tree(tree)))
     print(f"height: {mathml.height(tree)}")
     print(f"class: {mathml.classify(tree).value}")
@@ -169,14 +153,10 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    params, symbols = _load_params(config)
+    params, symbols = _read_configured(metric.load_params, config.params_file, "params")
     corpus = load_corpus(config.corpus_dir, symbols)
     query_path = Path(args.query)
-    try:
-        query_tree = mathml.parse_expression(query_path.read_text(encoding="utf-8"))
-    except (OSError, mathml.MathMLParseError, UnicodeDecodeError) as exc:
-        print(f"error: query {query_path}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    query_tree = read_expression(query_path)
     hitlist = search(
         query_tree, corpus, params, args.n, symbols.commutative, query_id=query_path.stem
     )
@@ -197,7 +177,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         hitlists = read_hitlists_csv(args.hitlists)
         evaluation.truth_sizes((h.query_id for h in hitlists), truths)
     else:
-        params, symbols = _load_params(config)
+        params, symbols = _read_configured(metric.load_params, config.params_file, "params")
         corpus = load_corpus(config.corpus_dir, symbols)
         queries = load_queries(config.queries_dir)
         sizes = evaluation.truth_sizes((q.query_id for q in queries), truths)
@@ -319,7 +299,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CorpusLoadError, mathml.MathMLParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -99,7 +99,8 @@ class ParamSpace:
     def from_dict(cls, data: dict) -> "ParamSpace":
         specs = data.get("ranges") if isinstance(data, dict) else None
         if not (isinstance(specs, dict) and all(isinstance(s, dict) for s in specs.values())
-                and isinstance(data.get("order"), list)):
+                and isinstance(data.get("order"), list)
+                and all(isinstance(name, str) for name in data["order"])):
             raise ValueError('space document must be {"order": [...], "ranges": {name: {...}}}')
         ranges = {}
         for name, spec in specs.items():

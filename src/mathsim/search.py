@@ -20,8 +20,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .engine import NodeTable, Plan
-from .mathml import ExprTree, FormulaClass, classify, parse_expression
-# score_document stays bound here: the benchmark's tracer wraps it in this module.
+# The benchmark's tracer wraps parse_expression and score_document in this module.
+from .mathml import ExprTree, FormulaClass, MathMLParseError, classify, parse_expression
 from .metric import DEFAULT_COMMUTATIVE, MetricParams, SymbolConfig, score_document
 
 CORPUS_EXTENSIONS = (".xml", ".mathml")
@@ -118,6 +118,15 @@ def _discover(directory: str | Path) -> list[tuple[str, Path]]:
     return found
 
 
+def read_expression(path: str | Path, intern: dict | None = None) -> ExprTree:
+    """Parse one UTF-8 MathML file; failing to read, decode or parse it raises one
+    :class:`MathMLParseError` whose message starts with ``"{path}: "``."""
+    try:
+        return parse_expression(Path(path).read_text(encoding="utf-8"), intern)
+    except (OSError, ValueError) as exc:
+        raise MathMLParseError(f"{path}: {exc}") from exc
+
+
 def _parse_all(entries: list[tuple[str, Path]], what: str) -> list[tuple[str, Path, ExprTree]]:
     if not entries:
         raise CorpusLoadError(f"empty {what}: no .xml or .mathml files found")
@@ -135,10 +144,9 @@ def _parse_all(entries: list[tuple[str, Path]], what: str) -> list[tuple[str, Pa
     intern: dict = {}
     for doc_id, path in entries:
         try:
-            text = path.read_text(encoding="utf-8")
-            parsed.append((doc_id, path, parse_expression(text, intern)))
-        except (OSError, ValueError) as exc:
-            failures.append(f"{path}: {exc}")
+            parsed.append((doc_id, path, read_expression(path, intern)))
+        except MathMLParseError as exc:
+            failures.append(str(exc))
     if failures:
         raise CorpusLoadError(
             f"failed to load {len(failures)} of {len(entries)} {what} files:\n  "

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shutil
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from mathsim import cli, optimizer
 from mathsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from mathsim.metric import DECAY_KINDS
 
@@ -80,6 +82,12 @@ class TestParseCommand:
         err = capsys.readouterr().err
         assert "latin.xml" in err and "utf-8" in err
 
+    def test_missing_file_is_data_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.xml"
+        assert main(["parse", str(missing)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {missing}: ") and "No such file" in err
+
 
 class TestSearchCommand:
     def test_search_writes_hitlist(self, tmp_path, capsys):
@@ -119,6 +127,13 @@ class TestSearchCommand:
         bad = tmp_path / "query.xml"
         bad.write_text("<math><ci>")
         assert main(["search", "--config", str(config), "--query", str(bad)]) == EXIT_DATA
+
+    def test_missing_query_is_data_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        missing = tmp_path / "missing.xml"
+        assert main(["search", "--config", str(config), "--query", str(missing)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {missing}: ") and "No such file" in err
 
     def test_non_utf8_query_names_it(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -284,6 +299,20 @@ class TestOptimizeCommand:
         assert summary["best_model"] in ("exponential", "linear", "quadratic", "logarithmic")
         assert (out / "best_params.json").exists()
 
+    def test_generation_cap_warns_per_model(self, tmp_path, capsys, monkeypatch):
+        # One core runs the models in this process, where the cap of 1 holds:
+        # a run needs two generations to converge.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(optimizer, "GENERATION_CAP", 1)
+        config = write_config(tmp_path)
+        with pytest.warns(UserWarning, match="did not converge within 1 generations"):
+            assert main(["optimize", "--config", str(config)]) == EXIT_OK
+        err = capsys.readouterr().err
+        for kind in DECAY_KINDS:
+            assert f"warning: model {kind} hit the generation cap" in err
+        summary = json.loads((tmp_path / "out" / "optimize_summary.json").read_text())
+        assert not any(model["converged"] for model in summary["models"].values())
+
     def test_query_without_truth_is_data_error(self, tmp_path, capsys):
         truncated = tmp_path / "truth.csv"
         lines = (ASSETS / "truth.csv").read_text().strip().splitlines()
@@ -375,9 +404,14 @@ class TestExitCodes:
         ("space_file", {"ranges": {"omega": {"min": "a", "max": 3.0, "step": 0.5}}}),
         ("space_file", [1]),
         ("space_file", {"ranges": None}),
+        ("params_file", {"zeta": float("inf")}),
+        ("params_file", {"commutative": "arith1 plus"}),
+        ("space_file", {"order": [["zeta"], "omega"]}),
+        ("space_file", {"order": [{}, "omega"]}),
     ], ids=["params-list", "delta-string", "omega-null", "commutative-int",
             "commutative-name-int", "equality-bool-null", "misspelt-commutative",
-            "range-min-string", "space-list", "ranges-null"])
+            "range-min-string", "space-list", "ranges-null", "zeta-infinite",
+            "commutative-string", "order-entry-list", "order-entry-object"])
     def test_malformed_params_or_space_is_config_error(self, tmp_path, capsys, key, document):
         if isinstance(document, dict):
             base = ASSETS / ("params.json" if key == "params_file" else "space.json")
@@ -387,7 +421,8 @@ class TestExitCodes:
         config = write_config(tmp_path, **{key: str(bad)})
         assert main(["optimize", "--config", str(config)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "config error" in err and "bad.json" in err
+        what = "params" if key == "params_file" else "parameter-space"
+        assert err.startswith(f"config error: bad {what} file {bad}: ")
         assert "Traceback" not in err
 
     def test_boolean_param_is_config_error(self, tmp_path, capsys):
@@ -468,6 +503,17 @@ class TestExitCodes:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_CONFIG
+
+
+def test_commands_never_catch():
+    # main alone turns an exception into an exit code.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 5
+    for command in commands:
+        tries = [n for n in ast.walk(command) if isinstance(n, ast.Try)]
+        assert tries == [], command.name
 
 
 def test_module_entry_point(tmp_path):

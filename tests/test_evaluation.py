@@ -322,6 +322,10 @@ class TestEvaluate:
                 [hits_of("a", query_id="mystery")], [truth_of("a", "b", query_id="other")], mc_table
             )
 
+    def test_no_hitlists_rejected(self, mc_table):
+        with pytest.raises(ValueError, match="nothing to evaluate: no hit lists given"):
+            evaluate([], [truth_of("a", "b")], mc_table)
+
     def test_repeated_truth_rejected(self, mc_table):
         # The second truth used to replace the first without a word.
         truths = [truth_of("a", "b", query_id="q"), truth_of("x", "y", query_id="q")]

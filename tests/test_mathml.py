@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given
@@ -132,6 +133,39 @@ class TestParseErrors:
     def test_empty_ci(self):
         with pytest.raises(MathMLParseError, match="ci"):
             parse_expression("<ci>  </ci>")
+
+    @pytest.mark.parametrize("xml,message", [
+        ("<math></math>", "<math> must wrap exactly one content expression, found 0"),
+        ("<math><ci>x</ci><ci>y</ci></math>", "found 2"),
+        ('<semantics><annotation encoding="TeX">x</annotation></semantics>',
+         "<semantics> must wrap exactly one content expression, found 0"),
+        ('<csymbol cd="arith1"> </csymbol>', "bare symbol name"),
+        ('<csymbol cd="arith1">plus<ci>x</ci></csymbol>', "bare symbol name"),
+        ("<cn> </cn>", "literal value"),
+        ('<bind><csymbol cd="quant1">forall</csymbol><bvar><ci>x</ci></bvar></bind>',
+         "requires a binder, at least one <bvar> and a body"),
+        ("<bind><ci>f</ci><bvar><ci>x</ci></bvar><ci>x</ci></bind>",
+         "binder must be a function symbol"),
+        ('<bind><csymbol cd="quant1">forall</csymbol><bvar><cn>1</cn></bvar><ci>x</ci></bind>',
+         "<bvar> must contain exactly one <ci>"),
+        ('<bind><csymbol cd="quant1">forall</csymbol><bvar><ci>x</ci><ci>y</ci></bvar>'
+         "<ci>x</ci></bind>", "<bvar> must contain exactly one <ci>"),
+        ('<bind><csymbol cd="quant1">forall</csymbol><bvar><ci>x</ci></bvar>'
+         "<ci>x</ci><ci>y</ci></bind>", "exactly one body expression"),
+    ], ids=["math-empty", "math-two", "semantics-annotation-only", "csymbol-blank",
+            "csymbol-child", "cn-blank", "bind-two-children", "bind-variable-binder",
+            "bvar-cn", "bvar-two-ci", "bind-two-bodies"])
+    def test_malformed_construct_rejected(self, xml, message):
+        with pytest.raises(MathMLParseError, match=re.escape(message)):
+            parse_expression(xml)
+
+    def test_byte_offset_counts_utf8_bytes_past_line_one(self):
+        # Expat reports the column in characters; the offset must be in bytes.
+        xml = "<math>\n  <ci>日本語</ci>&bad;</math>"
+        with pytest.raises(MathMLParseError, match=r"line 2, column 14") as info:
+            parse_expression(xml)
+        offset = int(re.search(r"byte offset (\d+)", str(info.value)).group(1))
+        assert xml.encode("utf-8")[offset:].startswith(b"&bad;")
 
     def test_nesting_depth_limited(self):
         def nested(depth):

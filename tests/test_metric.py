@@ -87,6 +87,9 @@ class TestDecay:
             DecayModel("exponential", 1.5)
         with pytest.raises(ValueError):
             DecayModel("linear", -0.1)
+        for rate in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="decay rate must be finite"):
+                DecayModel("linear", rate)
 
 
 class TestParamsValidation:
@@ -153,6 +156,21 @@ class TestParamsValidation:
         path = tmp_path / "p.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=f"{field} must be a number, got {value}"):
+            load_params(path)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        # json reads 1e999 as inf, and validate_field must catch it.
+        text = re.sub(r'"zeta": [^,}]+', '"zeta": 1e999', json.dumps(make_params().to_dict()))
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="zeta must be finite, got inf"):
+            load_params(path)
+
+    def test_symbol_set_must_be_list(self, tmp_path):
+        data = {**make_params().to_dict(), "commutative": "arith1 plus"}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="commutative must be a list of"):
             load_params(path)
 
     @pytest.mark.parametrize("entry", [["arith1", 5], [True, None], ["arith1", ["plus"]]])

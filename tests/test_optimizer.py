@@ -119,6 +119,19 @@ class TestParamSpace:
         with pytest.raises(ValueError, match="zeta"):
             ParamSpace(("zeta",), {})
 
+    def test_unswept_range_rejected(self):
+        ranges = {"zeta": GridRange(0.0, 0.5, 0.5), "mu": GridRange(0.1, 0.5, 0.2)}
+        with pytest.raises(ValueError, match=r"ranges given for unswept parameters: \['mu'\]"):
+            ParamSpace(("zeta",), ranges)
+
+    @pytest.mark.parametrize("entry", [["zeta"], {}], ids=["list", "object"])
+    def test_non_string_order_entry_rejected(self, entry):
+        # set(order) raised TypeError: unhashable type, which no caller catches.
+        spec = {"order": [entry, "omega"],
+                "ranges": {"omega": {"min": 2.0, "max": 3.0, "step": 0.5}}}
+        with pytest.raises(ValueError, match="space document must be"):
+            ParamSpace.from_dict(spec)
+
     def test_bundled_space_file_loads(self, assets_dir):
         # The path the CLI takes for `space_file`; function parameters first.
         space = load_param_space(assets_dir / "space.json")

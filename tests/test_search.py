@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from mathsim.mathml import Apply, FormulaClass, FunctionSymbol, Variable
+from mathsim import search as search_module
+from mathsim.mathml import (
+    Apply, FormulaClass, FunctionSymbol, MathMLParseError, Variable, parse_expression,
+)
 from mathsim.search import (
     CorpusLoadError,
     HitList,
@@ -12,6 +15,7 @@ from mathsim.search import (
     batch_search,
     load_corpus,
     load_queries,
+    read_expression,
     read_hitlists_csv,
     search,
     write_hitlists_csv,
@@ -65,6 +69,21 @@ class TestLoadCorpus:
         with pytest.raises(CorpusLoadError, match=r"deep\.xml: expression nested deeper than 128"):
             load_corpus(tmp_path)
 
+    def test_failures_listed_one_per_line(self, tmp_path):
+        write_expr(tmp_path / "a.xml")
+        (tmp_path / "b.xml").write_text("<math><oops>", encoding="utf-8")
+        (tmp_path / "c.xml").write_bytes(b"<math><ci>\xff</ci></math>")
+        with pytest.raises(MathMLParseError) as malformed:
+            parse_expression("<math><oops>")
+        with pytest.raises(UnicodeDecodeError) as undecodable:
+            (tmp_path / "c.xml").read_text(encoding="utf-8")
+        with pytest.raises(CorpusLoadError) as info:
+            load_corpus(tmp_path)
+        assert str(info.value) == (
+            f"failed to load 2 of 3 corpus files:\n  {tmp_path / 'b.xml'}: {malformed.value}"
+            f"\n  {tmp_path / 'c.xml'}: {undecodable.value}"
+        )
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(CorpusLoadError, match="not a directory"):
             load_corpus(tmp_path / "nowhere")
@@ -81,6 +100,43 @@ class TestLoadCorpus:
     def test_load_queries(self, bundled_queries):
         assert len(bundled_queries) == 11
         assert all(q.query_id.startswith("q_") for q in bundled_queries)
+
+
+class TestReadExpression:
+    def test_reads_and_interns(self, tmp_path):
+        path = tmp_path / "a.xml"
+        write_expr(path, '<apply><csymbol cd="arith1">plus</csymbol><ci>x</ci></apply>')
+        table = {}
+        tree = read_expression(path, table)
+        assert tree == Apply(PLUS, (X,))
+        assert read_expression(str(path), table) is tree
+
+    @pytest.mark.parametrize("content,message", [
+        (None, "No such file"),
+        (b"<math><ci>\xff</ci></math>", "'utf-8' codec can't decode"),
+        (b"<math><ci>x</ci>", "malformed XML at byte offset"),
+        (b"<math><share/></math>", "unsupported element 'share'"),
+    ], ids=["missing", "not-utf8", "malformed", "unsupported"])
+    def test_every_failure_is_one_error_naming_the_file(self, tmp_path, content, message):
+        path = tmp_path / "bad.xml"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(MathMLParseError) as info:
+            read_expression(path)
+        assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+    def test_parses_through_the_search_module(self, monkeypatch, assets_dir):
+        # The benchmark's tracer counts parses at search.parse_expression.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return parse_expression(*args)
+
+        monkeypatch.setattr(search_module, "parse_expression", counted)
+        corpus = load_corpus(assets_dir / "corpus")
+        read_expression(assets_dir / "queries" / "q_newton.xml")
+        assert len(calls) == len(corpus) + 1
 
 
 class TestHitListInvariants:
@@ -248,6 +304,18 @@ class TestHitListIO:
         path = tmp_path / "hits.csv"
         path.write_text("query_id,rank,doc_id,score\nq1,1,a,0.9\nq1,3,b,0.5\n")
         with pytest.raises(ValueError, match="ranks"):
+            read_hitlists_csv(path)
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "hits.csv"
+        path.write_text("query_id,rank,doc_id,score\n\nq1,1,a,0.9\n\n\nq1,2,b,0.5\n\n")
+        assert read_hitlists_csv(path) == [HitList("q1", (("a", 0.9), ("b", 0.5)), 2)]
+
+    @pytest.mark.parametrize("row", ["q1,2,b", "q1,2,b,0.5,extra"])
+    def test_wrong_cell_count_rejected(self, tmp_path, row):
+        path = tmp_path / "hits.csv"
+        path.write_text(f"query_id,rank,doc_id,score\nq1,1,a,0.9\n{row}\n")
+        with pytest.raises(ValueError, match=r"hits\.csv, line 3: malformed row"):
             read_hitlists_csv(path)
 
     def test_oversized_field_names_file(self, tmp_path):
