@@ -22,7 +22,6 @@ from typing import Callable
 
 from . import evaluation, mathml, metric, optimizer
 from .search import (
-    batch_search,
     load_corpus,
     load_queries,
     read_expression,
@@ -68,10 +67,10 @@ def _seed(config_path: Path, seeds: dict, key: str, default: int) -> int:
 def load_config(path: str | Path) -> RunConfig:
     config_path = Path(path)
     try:
-        data = json.loads(config_path.read_text(encoding="utf-8"))
+        data = metric.read_json(config_path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
     base = config_path.parent
     try:
@@ -113,19 +112,15 @@ def _table(config: RunConfig) -> evaluation.CriticalValueTable:
     )
 
 
-def _tuning(
-    config: RunConfig,
-) -> tuple[metric.MetricParams, optimizer.ParamSpace, optimizer.SearchObjective]:
-    """The seed parameters, the space and the objective that ``optimize`` and ``xval`` tune."""
+def _objective(config: RunConfig) -> tuple[metric.MetricParams, optimizer.SearchObjective]:
+    """The configured parameters, and the objective that searches and evaluates the query set."""
     params, symbols = _read_configured(metric.load_params, config.params_file, "params")
-    space = _read_configured(optimizer.load_param_space, config.space_file, "parameter-space")
     corpus = load_corpus(config.corpus_dir, symbols)
     queries = load_queries(config.queries_dir)
     truths = evaluation.read_ground_truth_csv(config.truth_file)
-    objective_fn = optimizer.SearchObjective(
+    return params, optimizer.SearchObjective(
         corpus, queries, truths, config.weights, symbols.commutative, _table(config)
     )
-    return params, space, objective_fn
 
 
 def _format_tree(tree: mathml.ExprTree, indent: int = 0) -> list[str]:
@@ -172,18 +167,15 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    truths = evaluation.read_ground_truth_csv(config.truth_file)
     if args.hitlists is not None:
-        hitlists = read_hitlists_csv(args.hitlists)
-        evaluation.truth_sizes((h.query_id for h in hitlists), truths)
+        truths = evaluation.read_ground_truth_csv(config.truth_file)
+        hitlists, table = read_hitlists_csv(args.hitlists), _table(config)
     else:
-        params, symbols = _read_configured(metric.load_params, config.params_file, "params")
-        corpus = load_corpus(config.corpus_dir, symbols)
-        queries = load_queries(config.queries_dir)
-        sizes = evaluation.truth_sizes((q.query_id for q in queries), truths)
-        hitlists = batch_search(queries, corpus, params, sizes, symbols.commutative)
+        params, objective_fn = _objective(config)
+        truths, table = objective_fn.truths, objective_fn.table
+        hitlists = objective_fn.search(params)
         write_hitlists_csv(hitlists, config.output_dir / "hitlists.csv")
-    report = evaluation.evaluate(hitlists, truths, _table(config))
+    report = evaluation.evaluate(hitlists, truths, table)
     text = evaluation.report_to_csv_text(report)
     (config.output_dir / "report.csv").write_text(text, encoding="utf-8")
     evaluation.write_report_json(report, config.output_dir / "report.json")
@@ -193,7 +185,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    params, space, objective_fn = _tuning(config)
+    params, objective_fn = _objective(config)
+    space = _read_configured(optimizer.load_param_space, config.space_file, "parameter-space")
     # One worker per decay model, no more than there are cores.
     workers = min(os.cpu_count() or 1, len(metric.DECAY_KINDS))
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
@@ -224,7 +217,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_xval(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    params, space, objective_fn = _tuning(config)
+    params, objective_fn = _objective(config)
+    space = _read_configured(optimizer.load_param_space, config.space_file, "parameter-space")
     split_seed = args.seed if args.seed is not None else config.split_seed
     report = optimizer.cross_validate(objective_fn, space, split_seed, params)
     text = optimizer.xval_to_csv_text(report)

@@ -29,6 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .metric import read_json
 from .search import HitList, read_ranked_csv
 
 DEFAULT_MC_SEED = 7151
@@ -255,7 +256,7 @@ class CriticalValueTable:
         if self.cache_path is None:
             return
         try:
-            data = json.loads(self.cache_path.read_text(encoding="utf-8"))
+            data = read_json(self.cache_path)
             if data.get("seed") != self.seed or data.get("samples") != MC_SAMPLES:
                 return
             values = {}
@@ -322,21 +323,22 @@ def evaluate(
 
     Significance flags compare |rho| and |tau| against ``table``'s critical
     value for that query's truth size; truth sizes outside the supported
-    table range are reported as not significant.  A query id given twice,
-    among the hit lists or among the truths, is an error.
+    table range are reported as not significant.  Hit lists and truths must
+    pair one to one (:func:`truth_sizes`), so the averages cover every truth;
+    a query id given twice, among the hit lists or among the truths, is an
+    error.
     """
     truth_by_id = _by_query(truths, "ground truth")
     hitlists = list(_by_query(hitlists, "hit list").values())
+    if not hitlists:
+        raise ValueError("nothing to evaluate: no hit lists given")
+    truth_sizes((hl.query_id for hl in hitlists), truth_by_id.values())
     matches = []
     by_size: dict[int, list[int]] = {}
     for index, hl in enumerate(hitlists):
-        truth = truth_by_id.get(hl.query_id)
-        if truth is None:
-            raise ValueError(f"no ground truth for query {hl.query_id!r}")
+        truth = truth_by_id[hl.query_id]
         matches.append(_match(hl, truth))
         by_size.setdefault(len(truth.ranked_ids), []).append(index)
-    if not matches:
-        raise ValueError("nothing to evaluate: no hit lists given")
     count = len(matches)
     # Per query: rho, tau and the four flags, filled one truth size at a time.
     stats: list = [None] * count

@@ -126,7 +126,7 @@ def parse_expression(xml_text: str, intern: dict | None = None) -> ExprTree:
     ``semantics`` wrappers are stripped to their first content child and a
     ``math`` wrapper may enclose the expression.  Raises
     :class:`MathMLParseError` for malformed XML (with the byte offset of the
-    failure) or nesting deeper than :data:`MAX_DEPTH`, and
+    failure), a lone surrogate or nesting deeper than :data:`MAX_DEPTH`, and
     :class:`UnsupportedConstructError` for out-of-vocabulary elements.
 
     The tree is hash-consed: structurally equal subtrees are one object.
@@ -142,6 +142,11 @@ def parse_expression(xml_text: str, intern: dict | None = None) -> ExprTree:
         raise MathMLParseError(
             f"malformed XML at byte offset {offset} "
             f"(line {line}, column {column}): {exc.msg}"
+        ) from exc
+    except UnicodeEncodeError as exc:
+        # The parser encodes a str as UTF-8, which a lone surrogate cannot be.
+        raise MathMLParseError(
+            f"text is not valid Unicode: {exc.reason} at index {exc.start}"
         ) from exc
     return _build(_unwrap(root), {} if intern is None else intern, 0)
 

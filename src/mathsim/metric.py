@@ -221,13 +221,22 @@ def _symbol_set(key: str, entries: list) -> frozenset[tuple[str, str]]:
     return frozenset(map(tuple, entries))
 
 
+def read_json(path: str | Path):
+    """The JSON document in a UTF-8 file; nesting too deep to decode is a ValueError."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("nested too deeply to decode") from exc
+
+
 def load_params(path: str | Path) -> tuple[MetricParams, SymbolConfig]:
     """Read a params JSON document, including any symbol-set overrides.
 
     A key that is neither a :class:`MetricParams` field nor a symbol set is
     an error, so a misspelt set cannot fall back to the default unnoticed.
     """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_json(path)
     params = MetricParams.from_dict(data)
     unknown = sorted(data.keys() - params.to_dict().keys() - _SYMBOL_SET_KEYS.keys())
     if unknown:

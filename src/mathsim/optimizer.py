@@ -28,8 +28,8 @@ from .evaluation import (
     evaluate,
     truth_sizes,
 )
-from .metric import DECAY_KINDS, DEFAULT_PARAMS, MetricParams, validate_field
-from .search import Corpus, DocumentRecord, Query, batch_search
+from .metric import DECAY_KINDS, DEFAULT_PARAMS, MetricParams, read_json, validate_field
+from .search import Corpus, DocumentRecord, HitList, Query, batch_search
 
 ObjectiveFn = Callable[[MetricParams], tuple[float, AverageRow]]
 
@@ -115,7 +115,7 @@ class ParamSpace:
 
 
 def load_param_space(path: str | Path) -> ParamSpace:
-    return ParamSpace.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return ParamSpace.from_dict(read_json(path))
 
 
 def default_seed_params(space: ParamSpace) -> MetricParams:
@@ -168,7 +168,7 @@ class SearchObjective:
     """Objective of one parameter set: run all queries, evaluate, scalarise.
 
     Every query needs a ground truth and every ground truth a query; the
-    pairing is checked once, at construction (:func:`truth_sizes`).
+    pairing is checked at construction (:func:`truth_sizes`).
     ``observer``, when set, receives the parameter set and the tuple of query
     ids on every evaluation; :func:`cross_validate` keeps it on every phase,
     whose ids prove that held-out queries never feed a training decision.
@@ -187,11 +187,14 @@ class SearchObjective:
         sizes = truth_sizes((q.query_id for q in self.queries), self.truths)
         object.__setattr__(self, "sizes", sizes)
 
+    def search(self, params: MetricParams) -> list[HitList]:
+        """Each query's hit list, as long as its ground truth, in query order."""
+        return batch_search(self.queries, self.corpus, params, self.sizes, self.commutative)
+
     def __call__(self, params: MetricParams) -> tuple[float, AverageRow]:
         if self.observer is not None:
             self.observer(params, tuple(q.query_id for q in self.queries))
-        hitlists = batch_search(self.queries, self.corpus, params, self.sizes, self.commutative)
-        report = evaluate(hitlists, self.truths, self.table)
+        report = evaluate(self.search(params), self.truths, self.table)
         return objective(report, self.weights), report.averages
 
 

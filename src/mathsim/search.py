@@ -124,7 +124,8 @@ def read_expression(path: str | Path, intern: dict | None = None) -> ExprTree:
     try:
         return parse_expression(Path(path).read_text(encoding="utf-8"), intern)
     except (OSError, ValueError) as exc:
-        raise MathMLParseError(f"{path}: {exc}") from exc
+        # An OSError's text repeats the file name; its strerror does not.
+        raise MathMLParseError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _parse_all(entries: list[tuple[str, Path]], what: str) -> list[tuple[str, Path, ExprTree]]:

@@ -85,8 +85,8 @@ class TestParseCommand:
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.xml"
         assert main(["parse", str(missing)]) == EXIT_DATA
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {missing}: ") and "No such file" in err
+        # The path once: the OSError's own text would repeat it.
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
 
 
 class TestSearchCommand:
@@ -192,6 +192,17 @@ class TestEvaluateCommand:
             assert (tmp_path / "out" / name).read_bytes() == expected, name
         printed = capsys.readouterr().out
         assert printed == (EVALUATE_GOLDEN / "report.csv").read_text(encoding="utf-8")
+
+    def test_deeply_nested_cache_is_rewritten(self, tmp_path):
+        # The critical-value cache is a miss, not a traceback, whatever it holds.
+        config = write_config(tmp_path)
+        (tmp_path / "out").mkdir()
+        cache = tmp_path / "out" / "critical_values.json"
+        cache.write_text("[" * 100_000)
+        code = main(["evaluate", "--config", str(config), "--hitlists",
+                     str(REFERENCE_OUT / "hitlists.csv")])
+        assert code == EXIT_OK
+        assert cache.read_bytes() == (REFERENCE_OUT / "critical_values.json").read_bytes()
 
     def test_external_hitlists_path(self, tmp_path):
         config = write_config(tmp_path)
@@ -425,6 +436,20 @@ class TestExitCodes:
         assert err.startswith(f"config error: bad {what} file {bad}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command,key", [
+        ("evaluate", None), ("search", "params_file"), ("optimize", "space_file"),
+    ], ids=["config", "params", "space"])
+    def test_deeply_nested_json_is_config_error(self, tmp_path, capsys, command, key):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        config = deep if key is None else write_config(tmp_path, **{key: str(deep)})
+        argv = [command, "--config", str(config)]
+        if command == "search":
+            argv += ["--query", str(ASSETS / "queries" / "q_newton.xml")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "nested too deeply to decode" in err
+
     def test_boolean_param_is_config_error(self, tmp_path, capsys):
         params = tmp_path / "params.json"
         params.write_text(json.dumps({**json.loads((ASSETS / "params.json").read_text()), "zeta": True}))
@@ -505,15 +530,28 @@ class TestExitCodes:
         assert main(["frobnicate"]) == EXIT_CONFIG
 
 
+def cli_commands() -> list[ast.FunctionDef]:
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    return [node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+
+
 def test_commands_never_catch():
     # main alone turns an exception into an exit code.
-    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-    commands = [node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    commands = cli_commands()
     assert len(commands) == 5
     for command in commands:
         tries = [n for n in ast.walk(command) if isinstance(n, ast.Try)]
         assert tries == [], command.name
+
+
+def test_commands_search_and_pair_through_the_objective():
+    # One pipeline from a query set to its report: SearchObjective searches,
+    # and evaluate pairs the hit lists with the truths.
+    for command in cli_commands():
+        called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                  for node in ast.walk(command) if isinstance(node, ast.Call)}
+        assert not called & {"batch_search", "truth_sizes"}, command.name
 
 
 def test_module_entry_point(tmp_path):

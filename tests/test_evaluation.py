@@ -322,6 +322,12 @@ class TestEvaluate:
                 [hits_of("a", query_id="mystery")], [truth_of("a", "b", query_id="other")], mc_table
             )
 
+    def test_truth_without_hitlist_named(self, mc_table):
+        # The AVERAGE row covers every truth, or there is no report.
+        truths = [truth_of("a", "b"), truth_of("a", "b", query_id="unsearched")]
+        with pytest.raises(ValueError, match="ground truth without queries: unsearched"):
+            evaluate([hits_of("a", "b")], truths, mc_table)
+
     def test_no_hitlists_rejected(self, mc_table):
         with pytest.raises(ValueError, match="nothing to evaluate: no hit lists given"):
             evaluate([], [truth_of("a", "b")], mc_table)

@@ -32,7 +32,8 @@ MATHML_TEXTS = [p.read_text(encoding="utf-8")
 TAG = re.compile(r"</?([A-Za-z][\w.-]*)")
 TAG_NAMES = ["math", "semantics", "annotation", "apply", "bind", "bvar", "csymbol", "ci",
              "cn", "share", "cs", "cerror", "m:apply", "x"]
-# Text read from a UTF-8 file holds no lone surrogates.
+# Text read from a UTF-8 file holds no lone surrogates; a str given to the
+# MathML parser may.
 CHARS = st.characters(exclude_categories=["Cs"])
 FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -91,7 +92,7 @@ def damaged_mathml(draw) -> str:
     text = draw(st.sampled_from(MATHML_TEXTS) | nested_near_cap())
     if draw(st.booleans()):
         text = draw(renamed_element(text))
-    return draw(damaged_text(text)) if draw(st.booleans()) else text
+    return draw(damaged_text(text, st.characters())) if draw(st.booleans()) else text
 
 
 @settings(FUZZ, max_examples=100)
@@ -233,6 +234,14 @@ def test_damaged_json_raises_only_value_error(scratch, data, loader, name):
         pass
 
 
+@pytest.mark.parametrize("loader", [load_params, load_param_space], ids=["params", "space"])
+def test_json_nested_too_deeply_raises_value_error(scratch, loader):
+    path = scratch / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(ValueError, match="nested too deeply to decode"):
+        loader(path)
+
+
 @pytest.fixture(scope="module")
 def small_run(scratch) -> Path:
     """A config over a three-document corpus, with its own params file."""
@@ -287,6 +296,33 @@ def test_search_on_damaged_file_exits_with_message(small_run, data, damaged):
                      "--query", str(small_run / "queries" / "q_newton.xml"), "--n", "2"])
     if code == EXIT_OK:
         assert out.getvalue().startswith("1\t")
+    else:
+        assert code in (EXIT_CONFIG, EXIT_DATA)
+        assert err.getvalue().startswith("config error: " if code == EXIT_CONFIG else "error: ")
+
+
+@pytest.fixture(scope="module")
+def evaluate_run(scratch) -> Path:
+    """A config over the bundled truths, with the committed critical-value table."""
+    run = scratch / "evaluate"
+    (run / "out").mkdir(parents=True)
+    shutil.copy(ROOT / "out" / "critical_values.json", run / "out")
+    inputs = {key: str(ASSETS / CONFIG[key]) for key in PATH_KEYS if key != "output_dir"}
+    (run / "config.json").write_text(json.dumps({**CONFIG, **inputs}))
+    return run
+
+
+@FUZZ
+@given(data=st.data())
+def test_evaluate_on_damaged_hitlists_exits_with_message(evaluate_run, data):
+    hitlists = evaluate_run / "hitlists.csv"
+    hitlists.write_bytes(data.draw(damaged_rows((ROOT / "out" / "hitlists.csv").read_text())))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--config", str(evaluate_run / "config.json"),
+                     "--hitlists", str(hitlists)])
+    if code == EXIT_OK:
+        assert out.getvalue().startswith("query_id,")
     else:
         assert code in (EXIT_CONFIG, EXIT_DATA)
         assert err.getvalue().startswith("config error: " if code == EXIT_CONFIG else "error: ")

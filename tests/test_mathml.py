@@ -167,6 +167,11 @@ class TestParseErrors:
         offset = int(re.search(r"byte offset (\d+)", str(info.value)).group(1))
         assert xml.encode("utf-8")[offset:].startswith(b"&bad;")
 
+    def test_lone_surrogate_is_parse_error(self):
+        # ElementTree encodes a str to UTF-8 first, which a lone surrogate cannot be.
+        with pytest.raises(MathMLParseError, match="not valid Unicode: surrogates not allowed"):
+            parse_expression("\ud800<ci>x</ci>")
+
     def test_nesting_depth_limited(self):
         def nested(depth):
             body = "<ci>x</ci>"

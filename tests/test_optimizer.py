@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from mathsim.evaluation import AverageRow, GroundTruth
+from mathsim.evaluation import AverageRow, GroundTruth, truth_sizes
 from mathsim.mathml import Apply, FormulaClass, FunctionSymbol, Variable
 from mathsim.metric import DECAY_KINDS, DEFAULT_COMMUTATIVE
 from mathsim.optimizer import (
@@ -25,7 +25,7 @@ from mathsim.optimizer import (
     sweep_parameter,
     xval_to_csv_text,
 )
-from mathsim.search import DocumentRecord, Query
+from mathsim.search import DocumentRecord, Query, batch_search
 
 from helpers import make_params
 
@@ -433,6 +433,16 @@ class TestSearchObjectivePairing:
         assert str(info.value) == (
             "queries without ground truth: q02; ground truth without queries: q_orphan"
         )
+
+
+def test_objective_search_is_batch_search(bundled_corpus, bundled_queries, bundled_truths,
+                                          bundled_symbols, bundled_params, mc_table):
+    fn = SearchObjective(bundled_corpus, bundled_queries, bundled_truths, ObjectiveWeights(),
+                         bundled_symbols.commutative, mc_table)
+    sizes = truth_sizes((q.query_id for q in bundled_queries), bundled_truths)
+    expected = batch_search(bundled_queries, bundled_corpus, bundled_params, sizes,
+                            bundled_symbols.commutative)
+    assert fn.search(bundled_params) == expected
 
 
 class TestSearchObjectiveObserver:
