@@ -69,7 +69,9 @@ def load_config(path: str | Path) -> RunConfig:
     try:
         data = metric.read_json(config_path)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
+        # An OSError's text repeats the file name; its strerror does not.
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config {config_path}: {reason}") from exc
     except ValueError as exc:
         raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
     base = config_path.parent
@@ -103,7 +105,8 @@ def _read_configured(load: Callable, path: Path, what: str):
     try:
         return load(path)
     except (ValueError, OSError) as exc:
-        raise ConfigError(f"bad {what} file {path}: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"bad {what} file {path}: {reason}") from exc
 
 
 def _table(config: RunConfig) -> evaluation.CriticalValueTable:

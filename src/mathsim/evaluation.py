@@ -12,7 +12,7 @@ queries with equal truth size are stacked into one array, and rho's squared
 rank differences and tau's pairwise signs are summed for the whole stack.
 Ranks are kept doubled, so the shared absent rank is an integer and both
 sums are exact.  Critical values come from seeded Monte Carlo permutation
-sampling, are looked up once per truth size, and can be cached to disk.
+sampling, are filled once per truth size, and can be cached to disk.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ DEFAULT_MC_SEED = 7151
 MC_SAMPLES = 100_000
 MIN_TABLE_N = 4
 MAX_TABLE_N = 60
+# Samples drawn and reduced at a time: one int16 block is about 1 MiB at n = 60.
+_FILL_BLOCK = 8192
+_STATISTICS = ("rho", "tau")
+_ALPHAS = {95: 0.05, 99: 0.01}
 
 
 @dataclass(frozen=True)
@@ -240,8 +244,12 @@ def _tau_from_ranks(columns: np.ndarray) -> np.ndarray:
 class CriticalValueTable:
     """Seeded Monte Carlo critical values for rho and tau, cached per (stat, n, level).
 
-    Each n draws ``MC_SAMPLES`` permutations.  A cache file (JSON) can be
-    supplied so the sampling cost is paid once per seed.
+    Each n draws ``MC_SAMPLES`` permutations from one generator seeded
+    ``[seed, n]``, ``_FILL_BLOCK`` samples at a time, so a fill holds one
+    block of permutations and the two statistics' sample arrays, never every
+    permutation at once.  :meth:`fill` computes the missing sizes of a run
+    together and writes the cache file (JSON), if one is supplied, once; the
+    sampling cost is then paid once per seed.
     """
 
     def __init__(self, seed: int = DEFAULT_MC_SEED, cache_path: str | Path | None = None):
@@ -251,8 +259,8 @@ class CriticalValueTable:
         self._load_cache()
 
     def _load_cache(self) -> None:
-        # A missing, unreadable or half-written cache is a miss: its values
-        # are recomputed and the file is written again.
+        # A missing, unreadable, half-written or damaged cache is a miss: its
+        # values are recomputed and the file is written again.
         if self.cache_path is None:
             return
         try:
@@ -260,9 +268,12 @@ class CriticalValueTable:
             if data.get("seed") != self.seed or data.get("samples") != MC_SAMPLES:
                 return
             values = {}
-            for key, value in data.get("values", {}).items():
-                stat, n, level = key.split(":")
-                values[(stat, int(n), int(level))] = float(value)
+            for text, value in data.get("values", {}).items():
+                stat, n, level = text.split(":")
+                key = (stat, int(n), int(level))
+                if not _is_table_entry(key, value):
+                    return
+                values[key] = float(value)
         except (OSError, ValueError, AttributeError, TypeError):
             return
         self._values.update(values)
@@ -291,29 +302,58 @@ class CriticalValueTable:
 
     def _compute_for_n(self, n: int) -> None:
         rng = np.random.default_rng([self.seed, n])
-        # Column k is sample k: the same stream as shuffling each row of a
-        # (MC_SAMPLES, n) array, laid out so each position is contiguous.
-        columns = np.empty((n, MC_SAMPLES), dtype=np.int16)
-        columns[:] = np.arange(1, n + 1, dtype=np.int16)[:, None]
-        rng.permuted(columns, axis=0, out=columns)
-        stats = {"rho": _rho_from_ranks(columns), "tau": _tau_from_ranks(columns)}
-        for stat, values in stats.items():
-            for level, alpha in ((95, 0.05), (99, 0.01)):
+        rho, tau = np.empty(MC_SAMPLES), np.empty(MC_SAMPLES)
+        identity = np.arange(1, n + 1, dtype=np.int16)[:, None]
+        for start in range(0, MC_SAMPLES, _FILL_BLOCK):
+            stop = min(start + _FILL_BLOCK, MC_SAMPLES)
+            # Column k is sample start + k.  One generator shuffling block
+            # after block draws the same stream as shuffling each row of a
+            # (MC_SAMPLES, n) array at once; each position is contiguous.
+            block = np.repeat(identity, stop - start, axis=1)
+            rng.permuted(block, axis=0, out=block)
+            rho[start:stop] = _rho_from_ranks(block)
+            tau[start:stop] = _tau_from_ranks(block)
+        for stat, values in (("rho", rho), ("tau", tau)):
+            for level, alpha in _ALPHAS.items():
                 self._values[(stat, n, level)] = _tail_threshold(values, alpha)
-        self._save_cache()
+
+    def fill(self, sizes: Iterable[int]) -> None:
+        """Compute every in-range size in ``sizes`` the table lacks, then write the cache once.
+
+        Sizes outside ``[MIN_TABLE_N, MAX_TABLE_N]`` are skipped: :func:`evaluate`
+        reports them as not significant.
+        """
+        missing = sorted({
+            n for n in sizes
+            if MIN_TABLE_N <= n <= MAX_TABLE_N
+            and any((stat, n, level) not in self._values
+                    for stat in _STATISTICS for level in _ALPHAS)
+        })
+        for n in missing:
+            self._compute_for_n(n)
+        if missing:
+            self._save_cache()
 
     def critical_value(self, statistic: str, n: int, level: int) -> float:
         """One-sided critical value: a null correlation reaches it with prob <= alpha."""
-        if statistic not in ("rho", "tau"):
+        if statistic not in _STATISTICS:
             raise ValueError(f"statistic must be 'rho' or 'tau', got {statistic!r}")
-        if level not in (95, 99):
+        if level not in _ALPHAS:
             raise ValueError(f"confidence level must be 95 or 99, got {level}")
         if not MIN_TABLE_N <= n <= MAX_TABLE_N:
             raise ValueError(f"n={n} outside supported range [{MIN_TABLE_N}, {MAX_TABLE_N}]")
         key = (statistic, n, level)
         if key not in self._values:
-            self._compute_for_n(n)
+            self.fill((n,))
         return self._values[key]
+
+
+def _is_table_entry(key: tuple[str, int, int], value) -> bool:
+    """Whether a cached ``key: value`` can be in the table: a (stat, n, level) it
+    covers, and a number in (0, 1], which rules out NaN, the infinities and ``true``."""
+    stat, n, level = key
+    return (stat in _STATISTICS and MIN_TABLE_N <= n <= MAX_TABLE_N and level in _ALPHAS
+            and type(value) in (int, float) and 0 < value <= 1)
 
 
 def evaluate(
@@ -339,6 +379,7 @@ def evaluate(
         truth = truth_by_id[hl.query_id]
         matches.append(_match(hl, truth))
         by_size.setdefault(len(truth.ranked_ids), []).append(index)
+    table.fill(by_size)
     count = len(matches)
     # Per query: rho, tau and the four flags, filled one truth size at a time.
     stats: list = [None] * count

@@ -168,7 +168,9 @@ class SearchObjective:
     """Objective of one parameter set: run all queries, evaluate, scalarise.
 
     Every query needs a ground truth and every ground truth a query; the
-    pairing is checked at construction (:func:`truth_sizes`).
+    pairing is checked at construction (:func:`truth_sizes`), and ``table``
+    is filled for the truth sizes then, so copies pickled into pool tasks
+    arrive with every critical value they read.
     ``observer``, when set, receives the parameter set and the tuple of query
     ids on every evaluation; :func:`cross_validate` keeps it on every phase,
     whose ids prove that held-out queries never feed a training decision.
@@ -186,6 +188,7 @@ class SearchObjective:
     def __post_init__(self) -> None:
         sizes = truth_sizes((q.query_id for q in self.queries), self.truths)
         object.__setattr__(self, "sizes", sizes)
+        self.table.fill(sizes.values())
 
     def search(self, params: MetricParams) -> list[HitList]:
         """Each query's hit list, as long as its ground truth, in query order."""

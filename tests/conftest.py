@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from mathsim import evaluation
 from mathsim.evaluation import CriticalValueTable, read_ground_truth_csv
 from mathsim.metric import load_params
 from mathsim.optimizer import load_param_space
@@ -55,3 +57,17 @@ def bundled_space():
 def mc_table(tmp_path_factory) -> CriticalValueTable:
     cache = tmp_path_factory.mktemp("critical_values") / "table.json"
     return CriticalValueTable(cache_path=cache)
+
+
+@pytest.fixture
+def cache_writes(monkeypatch) -> list:
+    """The paths the critical-value cache is renamed onto, one per write, in order."""
+    written = []
+    real_replace = os.replace
+
+    def counting_replace(src, dst):
+        written.append(dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(evaluation.os, "replace", counting_replace)
+    return written

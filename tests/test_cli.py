@@ -382,6 +382,16 @@ class TestXvalCommand:
 class TestExitCodes:
     def test_missing_config_file(self, capsys):
         assert main(["search", "--config", "/nope/config.json", "--query", "x"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: cannot read config /nope/config.json: No such file or directory\n"
+        )
+
+    def test_params_file_is_a_directory(self, tmp_path, capsys):
+        config = write_config(tmp_path, params_file=str(tmp_path))
+        assert main(["search", "--config", str(config), "--query", "x"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: bad params file {tmp_path}: Is a directory\n"
+        )
 
     def test_malformed_config_json(self, tmp_path):
         bad = tmp_path / "config.json"

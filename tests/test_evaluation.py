@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,33 @@ class TestKendall:
         assert kendall_tau(hits_of("a", "b", "x"), truth) <= kendall_tau(hits_of("a", "b"), truth)
 
 
+def _cache_with(key: str, value):
+    """A cache damage: the file's values with ``key`` set to ``value``."""
+    def damage(text: str) -> str:
+        data = json.loads(text)
+        data["values"][key] = value
+        return json.dumps(data)
+
+    return damage
+
+
+CACHE_DAMAGE = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "not_json": lambda text: "\x00\x01",
+    "wrong_shape": lambda text: "[1, 2]",
+    "nan_value": _cache_with("rho:6:95", float("nan")),
+    "infinite_value": _cache_with("rho:6:95", float("inf")),
+    "bool_value": _cache_with("rho:6:95", True),
+    "string_value": _cache_with("rho:6:95", "0.5"),
+    "zero_value": _cache_with("rho:6:95", 0.0),
+    "value_above_one": _cache_with("rho:6:95", 1.5),
+    "unknown_statistic": _cache_with("median:6:95", 0.5),
+    "n_below_table": _cache_with("rho:3:95", 0.5),
+    "n_above_table": _cache_with("rho:61:95", 0.5),
+    "unknown_level": _cache_with("rho:6:90", 0.5),
+}
+
+
 class TestCriticalValues:
     def test_invalid_arguments(self, mc_table):
         with pytest.raises(ValueError):
@@ -270,18 +298,47 @@ class TestCriticalValues:
         fresh = CriticalValueTable(seed=43, cache_path=cache)
         assert not fresh._values
 
-    @pytest.mark.parametrize("damage", ["truncated", "not_json", "wrong_shape"])
+    @pytest.mark.parametrize("damage", CACHE_DAMAGE)
     def test_unreadable_cache_is_a_miss(self, tmp_path, damage):
         cache = tmp_path / "cv.json"
         value = CriticalValueTable(seed=42, cache_path=cache).critical_value("rho", 6, 95)
-        text = cache.read_text()
-        cache.write_text(
-            {"truncated": text[: len(text) // 2], "not_json": "\x00\x01", "wrong_shape": "[1, 2]"}[damage]
-        )
+        cache.write_text(CACHE_DAMAGE[damage](cache.read_text()))
         table = CriticalValueTable(seed=42, cache_path=cache)
         assert not table._values
         assert table.critical_value("rho", 6, 95) == value
         assert json.loads(cache.read_text())["values"]["rho:6:95"] == value
+
+    def test_fill_computes_missing_sizes_and_writes_once(self, tmp_path, cache_writes):
+        cache = tmp_path / "cv.json"
+        CriticalValueTable(seed=42, cache_path=cache).critical_value("rho", 6, 95)
+        table = CriticalValueTable(seed=42, cache_path=cache)
+        table.fill([3, 5, 6, 7, 5, 61])
+        assert cache_writes == [cache, cache]
+        # 6 came from the cache; 3 and 61 lie outside the table.
+        assert {n for _, n, _ in table._values} == {5, 6, 7}
+        assert json.loads(cache.read_text())["values"] == {
+            f"{s}:{n}:{lv}": v for (s, n, lv), v in sorted(table._values.items())
+        }
+        table.fill([5, 6, 7])
+        assert cache_writes == [cache, cache]
+
+    def test_cold_fill_memory_is_one_block(self):
+        # A fill of n = 60 holds one block of permutations (about 1 MiB) and
+        # the two statistics' sample arrays (0.8 MiB each); every permutation
+        # at once would be 11 MiB.
+        table = CriticalValueTable()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            table.fill([evaluation.MAX_TABLE_N])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_cache_written_atomically(self, tmp_path, monkeypatch):
         cache = tmp_path / "cv.json"

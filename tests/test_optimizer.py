@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from mathsim.evaluation import AverageRow, GroundTruth, truth_sizes
+from mathsim.evaluation import (
+    MAX_TABLE_N,
+    MIN_TABLE_N,
+    AverageRow,
+    CriticalValueTable,
+    GroundTruth,
+    truth_sizes,
+)
 from mathsim.mathml import Apply, FormulaClass, FunctionSymbol, Variable
 from mathsim.metric import DECAY_KINDS, DEFAULT_COMMUTATIVE
 from mathsim.optimizer import (
@@ -581,3 +588,22 @@ class TestParallelPaths:
         assert carried.docs is copy.corpus.table
         assert [copy(bundled_params), copy(other)] == expected
         assert copy.queries.plan(copy.corpus.table, bundled_symbols.commutative) is carried
+
+    def test_pickled_objective_carries_a_filled_table(
+        self, bundled_corpus, bundled_queries, bundled_truths, bundled_params,
+        bundled_symbols, tmp_path, cache_writes,
+    ):
+        # The objective fills a cold table when it is built, so a pool task's
+        # copy reads every critical value it needs and never fills, or writes
+        # the cache, again.
+        cache = tmp_path / "cv.json"
+        fn = SearchObjective(bundled_corpus, bundled_queries, bundled_truths, ObjectiveWeights(),
+                             bundled_symbols.commutative, CriticalValueTable(cache_path=cache))
+        copy = pickle.loads(pickle.dumps(fn))
+        sizes = {len(t.ranked_ids) for t in bundled_truths}
+        assert len(sizes) > 1 and all(MIN_TABLE_N <= n <= MAX_TABLE_N for n in sizes)
+        assert set(copy.table._values) == {
+            (stat, n, level) for stat in ("rho", "tau") for n in sizes for level in (95, 99)
+        }
+        copy(bundled_params)
+        assert cache_writes == [cache]
