@@ -12,7 +12,10 @@ queries with equal truth size are stacked into one array, and rho's squared
 rank differences and tau's pairwise signs are summed for the whole stack.
 Ranks are kept doubled, so the shared absent rank is an integer and both
 sums are exact.  Critical values come from seeded Monte Carlo permutation
-sampling, are filled once per truth size, and can be cached to disk.
+sampling, are filled once per truth size, and can be cached to disk.  A fill
+draws the permutations in 64-bit blocks on one worker thread while the
+calling thread reduces the previous block to rho and tau with one
+whole-block kernel; the thread ends with the fill.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import json
 import math
 import os
 import tempfile
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -36,8 +40,8 @@ DEFAULT_MC_SEED = 7151
 MC_SAMPLES = 100_000
 MIN_TABLE_N = 4
 MAX_TABLE_N = 60
-# Samples drawn and reduced at a time: one int16 block is about 1 MiB at n = 60.
-_FILL_BLOCK = 8192
+# Cells (positions times samples) in one block of permutations: 256 KiB of int64.
+_BLOCK_CELLS = 1 << 15
 _STATISTICS = ("rho", "tau")
 _ALPHAS = {95: 0.05, 99: 0.01}
 
@@ -189,14 +193,14 @@ def kendall_tau(hits: HitList, truth: GroundTruth) -> float:
     return _correlations(np.array([_match(hits, truth)[2]]))[1].item()
 
 
-def _tail_threshold(samples: np.ndarray, alpha: float) -> float:
+def _tail_threshold(ordered: np.ndarray, alpha: float) -> float:
     """Smallest sampled value whose upper tail stays within ``alpha``.
 
-    Returns 1.0 when even the largest sampled value is exceeded too often
-    (the level is unattainable at this n, so only a perfect statistic can
-    be flagged).
+    ``ordered`` holds the samples sorted ascending, so one sort serves both
+    levels.  Returns 1.0 when even the largest sampled value is exceeded too
+    often (the level is unattainable at this n, so only a perfect statistic
+    can be flagged).
     """
-    ordered = np.sort(samples)
     max_tail = math.floor(alpha * len(ordered))
     cut = len(ordered) - max_tail  # need at least `cut` samples strictly below
     pivot = ordered[cut - 1]
@@ -206,50 +210,43 @@ def _tail_threshold(samples: np.ndarray, alpha: float) -> float:
     return float(ordered[idx])
 
 
-def _rho_from_ranks(columns: np.ndarray) -> np.ndarray:
-    """Spearman's rho of each sampled permutation against 1..n.
+def _block_statistics(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spearman's rho and Kendall's tau of each sampled permutation against 1..n.
 
-    ``columns`` holds one row per position and one column per sample.  The
-    squared rank differences sum to ``2 * sum(i * i) - 2 * sum(i * p_i)``,
-    an exact integer, so the division is the only rounding step.
+    ``block`` is an int64 array of the values 1..n (n <= 63), one row per
+    position and one column per sample; every step covers the whole block,
+    so the call count does not depend on n.  The squared rank differences
+    sum to ``2 * sum(i * i) - 2 * sum(i * p_i)``, an exact integer.  For
+    tau, bit ``p - 1`` of ``seen[j]`` marks a value ``p`` at position j or
+    earlier; the earlier values above ``p_j`` are the set bits of
+    ``seen[j - 1]`` at or above ``p_j - 1``, one inversion each, and tau is
+    ``(pairs - 2 * inversions) / pairs``.  Both sums are exact, so the
+    divisions are the only rounding steps.
     """
-    n, count = columns.shape
-    dot = np.zeros(count, dtype=np.int64)
-    for i, column in enumerate(columns, start=1):
-        dot += column * np.int64(i)
+    n = block.shape[0]
+    dot = np.arange(1, n + 1, dtype=np.int64) @ block
     d_sq = n * (n + 1) * (2 * n + 1) // 3 - 2 * dot
-    return 1.0 - 6.0 * d_sq / (n * (n * n - 1))
-
-
-def _tau_from_ranks(columns: np.ndarray) -> np.ndarray:
-    """Kendall's tau of each sampled permutation against 1..n (n <= 64).
-
-    ``columns`` as for ``_rho_from_ranks``.  Walking the positions in order,
-    bit ``p - 1`` of ``seen`` marks an earlier value ``p``; the earlier
-    values above ``p_j`` are the set bits at or above ``p_j - 1``, one
-    inversion each.  tau is ``(pairs - 2 * inversions) / pairs``.
-    """
-    n, count = columns.shape
-    one = np.uint64(1)
-    seen = np.zeros(count, dtype=np.uint64)
-    inversions = np.zeros(count, dtype=np.int64)
-    for column in columns:
-        shift = column.astype(np.uint64) - one
-        inversions += np.bitwise_count(seen >> shift)
-        seen |= one << shift
+    rho = 1.0 - 6.0 * d_sq / (n * (n * n - 1))
+    shifts = block - 1
+    seen = np.left_shift(1, shifts)
+    np.bitwise_or.accumulate(seen, axis=0, out=seen)
+    above = np.bitwise_count(np.right_shift(seen[:-1], shifts[1:]))
+    inversions = above.sum(axis=0, dtype=np.int64)
     pairs = n * (n - 1) // 2
-    return (pairs - 2 * inversions) / pairs
+    return rho, (pairs - 2 * inversions) / pairs
 
 
 class CriticalValueTable:
     """Seeded Monte Carlo critical values for rho and tau, cached per (stat, n, level).
 
     Each n draws ``MC_SAMPLES`` permutations from one generator seeded
-    ``[seed, n]``, ``_FILL_BLOCK`` samples at a time, so a fill holds one
-    block of permutations and the two statistics' sample arrays, never every
-    permutation at once.  :meth:`fill` computes the missing sizes of a run
-    together and writes the cache file (JSON), if one is supplied, once; the
-    sampling cost is then paid once per seed.
+    ``[seed, n]``, in int64 blocks of about ``_BLOCK_CELLS`` cells (n
+    positions by ``_BLOCK_CELLS // n`` samples).  A fill holds two blocks,
+    the one being drawn and the one being reduced, and the two statistics'
+    sample arrays, never every permutation at once.  :meth:`fill` computes
+    the missing sizes of a run together and writes the cache file (JSON), if
+    one is supplied, once; the sampling cost is then paid once per seed.
+    The table holds no thread or executor, so it pickles.
     """
 
     def __init__(self, seed: int = DEFAULT_MC_SEED, cache_path: str | Path | None = None):
@@ -265,7 +262,9 @@ class CriticalValueTable:
             return
         try:
             data = read_json(self.cache_path)
-            if data.get("seed") != self.seed or data.get("samples") != MC_SAMPLES:
+            header = (data.get("seed"), data.get("samples"))
+            # By type, so that ``true`` is no seed 1 and ``100000.0`` no sample count.
+            if any(type(v) is not int for v in header) or header != (self.seed, MC_SAMPLES):
                 return
             values = {}
             for text, value in data.get("values", {}).items():
@@ -300,20 +299,33 @@ class CriticalValueTable:
             os.unlink(temp)
             raise
 
-    def _compute_for_n(self, n: int) -> None:
+    def _compute_for_n(self, n: int, drawer: Executor) -> None:
+        # Column k of block b is sample b * width + k.  One generator shuffling
+        # block after block draws the same stream as shuffling each row of a
+        # (MC_SAMPLES, n) array at once.  Only ``drawer``'s one thread uses the
+        # generator, in block order; it draws the next block into one buffer
+        # while this thread reduces the last block in the other.
         rng = np.random.default_rng([self.seed, n])
+        width = max(1, _BLOCK_CELLS // n)
+        identity = np.arange(1, n + 1, dtype=np.intp)[:, None]
+        buffers = [np.empty(n * width, dtype=np.intp) for _ in range(2)]
+
+        def draw(buffer: np.ndarray, start: int) -> np.ndarray:
+            # A contiguous (n, columns) view of the buffer's first cells.
+            block = buffer[: n * min(width, MC_SAMPLES - start)].reshape(n, -1)
+            block[...] = identity
+            return rng.permuted(block, axis=0, out=block)
+
         rho, tau = np.empty(MC_SAMPLES), np.empty(MC_SAMPLES)
-        identity = np.arange(1, n + 1, dtype=np.int16)[:, None]
-        for start in range(0, MC_SAMPLES, _FILL_BLOCK):
-            stop = min(start + _FILL_BLOCK, MC_SAMPLES)
-            # Column k is sample start + k.  One generator shuffling block
-            # after block draws the same stream as shuffling each row of a
-            # (MC_SAMPLES, n) array at once; each position is contiguous.
-            block = np.repeat(identity, stop - start, axis=1)
-            rng.permuted(block, axis=0, out=block)
-            rho[start:stop] = _rho_from_ranks(block)
-            tau[start:stop] = _tau_from_ranks(block)
+        drawing = drawer.submit(draw, buffers[0], 0)
+        for index, start in enumerate(range(0, MC_SAMPLES, width)):
+            block = drawing.result()
+            if start + width < MC_SAMPLES:
+                drawing = drawer.submit(draw, buffers[(index + 1) % 2], start + width)
+            stop = start + block.shape[1]
+            rho[start:stop], tau[start:stop] = _block_statistics(block)
         for stat, values in (("rho", rho), ("tau", tau)):
+            values.sort()
             for level, alpha in _ALPHAS.items():
                 self._values[(stat, n, level)] = _tail_threshold(values, alpha)
 
@@ -321,7 +333,9 @@ class CriticalValueTable:
         """Compute every in-range size in ``sizes`` the table lacks, then write the cache once.
 
         Sizes outside ``[MIN_TABLE_N, MAX_TABLE_N]`` are skipped: :func:`evaluate`
-        reports them as not significant.
+        reports them as not significant.  The sizes are computed one after
+        another; one worker thread draws the permutations of all of them and
+        ends before this returns or raises.
         """
         missing = sorted({
             n for n in sizes
@@ -329,10 +343,12 @@ class CriticalValueTable:
             and any((stat, n, level) not in self._values
                     for stat in _STATISTICS for level in _ALPHAS)
         })
-        for n in missing:
-            self._compute_for_n(n)
-        if missing:
-            self._save_cache()
+        if not missing:
+            return
+        with ThreadPoolExecutor(1) as drawer:
+            for n in missing:
+                self._compute_for_n(n, drawer)
+        self._save_cache()
 
     def critical_value(self, statistic: str, n: int, level: int) -> float:
         """One-sided critical value: a null correlation reaches it with prob <= alpha."""

@@ -28,7 +28,7 @@ from .evaluation import (
     evaluate,
     truth_sizes,
 )
-from .metric import DECAY_KINDS, DEFAULT_PARAMS, MetricParams, read_json, validate_field
+from .metric import DECAY_KINDS, MetricParams, read_json, validate_field
 from .search import Corpus, DocumentRecord, HitList, Query, batch_search
 
 ObjectiveFn = Callable[[MetricParams], tuple[float, AverageRow]]
@@ -116,14 +116,6 @@ class ParamSpace:
 
 def load_param_space(path: str | Path) -> ParamSpace:
     return ParamSpace.from_dict(read_json(path))
-
-
-def default_seed_params(space: ParamSpace) -> MetricParams:
-    """Every swept parameter at its first trial value; a deliberately plain start."""
-    values = DEFAULT_PARAMS.to_dict()
-    for name in space.order:
-        values[name] = space.trial_values(name)[0]
-    return MetricParams.from_dict(values)
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,28 @@ from mathsim.evaluation import (
     QueryEvaluation,
 )
 from mathsim.mathml import Apply, Constant, ExprTree, FunctionSymbol, Variable
-from mathsim.metric import DECAY_KINDS, DEFAULT_COMMUTATIVE, MetricParams, _SimContext
+from mathsim.metric import (
+    DECAY_KINDS,
+    DEFAULT_COMMUTATIVE,
+    DEFAULT_PARAMS,
+    MetricParams,
+    _SimContext,
+)
+from mathsim.optimizer import ParamSpace
 from mathsim.search import HitList
 
 CDS = ("arith1", "transc1", "setops")
 FUNC_NAMES = ("plus", "times", "sin", "cos", "minus")
 VAR_NAMES = ("x", "y", "z", "u")
 CONST_VALUES = ("0", "1", "2", "3.5")
+
+
+def default_seed_params(space: ParamSpace) -> MetricParams:
+    """Every swept parameter at its first trial value; a deliberately plain start."""
+    values = DEFAULT_PARAMS.to_dict()
+    for name in space.order:
+        values[name] = space.trial_values(name)[0]
+    return MetricParams.from_dict(values)
 
 
 def make_params(

@@ -27,12 +27,17 @@ from mathsim.optimizer import (
     ParamSpace,
     SearchObjective,
     cross_validate,
-    default_seed_params,
     optimize_all,
     xval_to_csv_text,
 )
 
-from helpers import arg_list_sim_exact, exhaustive_critical_value, random_params, random_tree
+from helpers import (
+    arg_list_sim_exact,
+    default_seed_params,
+    exhaustive_critical_value,
+    random_params,
+    random_tree,
+)
 
 
 @contextmanager

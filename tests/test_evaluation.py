@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -201,10 +202,11 @@ class TestKendall:
 
 
 def _cache_with(key: str, value):
-    """A cache damage: the file's values with ``key`` set to ``value``."""
+    """A cache damage: the file with ``key`` set to ``value``, in its header for
+    ``seed`` and ``samples`` and among its values otherwise."""
     def damage(text: str) -> str:
         data = json.loads(text)
-        data["values"][key] = value
+        (data if key in ("seed", "samples") else data["values"])[key] = value
         return json.dumps(data)
 
     return damage
@@ -224,6 +226,8 @@ CACHE_DAMAGE = {
     "n_below_table": _cache_with("rho:3:95", 0.5),
     "n_above_table": _cache_with("rho:61:95", 0.5),
     "unknown_level": _cache_with("rho:6:90", 0.5),
+    "bool_seed": _cache_with("seed", True),
+    "float_samples": _cache_with("samples", float(evaluation.MC_SAMPLES)),
 }
 
 
@@ -265,22 +269,22 @@ class TestCriticalValues:
         assert got == expected
 
     @pytest.mark.parametrize(
-        "fast, oracle",
-        [
-            (evaluation._rho_from_ranks, rho_from_ranks_pairwise),
-            (evaluation._tau_from_ranks, tau_from_ranks_pairwise),
-        ],
+        "which, oracle", [(0, rho_from_ranks_pairwise), (1, tau_from_ranks_pairwise)],
         ids=["rho", "tau"],
     )
-    def test_statistics_match_pairwise_oracle(self, fast, oracle):
+    def test_statistics_match_pairwise_oracle(self, which, oracle):
         rng = np.random.default_rng(2024)
         for n in range(evaluation.MIN_TABLE_N, evaluation.MAX_TABLE_N + 1):
-            identity = np.arange(1, n + 1, dtype=np.int16)
+            identity = np.arange(1, n + 1, dtype=np.int64)
             sampled = rng.permuted(np.tile(identity, (2000, 1)), axis=1)
             # The identity has no inversions, the reversal all n(n-1)/2; at
             # n = 60 the reversal sets bit 59 of the tau bitmask.
             perms = np.vstack([sampled, identity, identity[::-1]])
-            got = fast(np.ascontiguousarray(perms.T))
+            # Like a fill's last block: the first cells of a wider buffer.
+            buffer = np.zeros(n * (len(perms) + 37), dtype=np.int64)
+            block = buffer[: perms.size].reshape(n, len(perms))
+            block[...] = perms.T
+            got = evaluation._block_statistics(block)[which]
             assert np.array_equal(got, oracle(perms, n)), n
             assert got[-2] == 1.0 and got[-1] == -1.0, n
 
@@ -301,9 +305,10 @@ class TestCriticalValues:
     @pytest.mark.parametrize("damage", CACHE_DAMAGE)
     def test_unreadable_cache_is_a_miss(self, tmp_path, damage):
         cache = tmp_path / "cv.json"
-        value = CriticalValueTable(seed=42, cache_path=cache).critical_value("rho", 6, 95)
+        # Seed 1, which a header seed of ``true`` would equal under ``==``.
+        value = CriticalValueTable(seed=1, cache_path=cache).critical_value("rho", 6, 95)
         cache.write_text(CACHE_DAMAGE[damage](cache.read_text()))
-        table = CriticalValueTable(seed=42, cache_path=cache)
+        table = CriticalValueTable(seed=1, cache_path=cache)
         assert not table._values
         assert table.critical_value("rho", 6, 95) == value
         assert json.loads(cache.read_text())["values"]["rho:6:95"] == value
@@ -312,7 +317,9 @@ class TestCriticalValues:
         cache = tmp_path / "cv.json"
         CriticalValueTable(seed=42, cache_path=cache).critical_value("rho", 6, 95)
         table = CriticalValueTable(seed=42, cache_path=cache)
+        threads = threading.active_count()
         table.fill([3, 5, 6, 7, 5, 61])
+        assert threading.active_count() == threads
         assert cache_writes == [cache, cache]
         # 6 came from the cache; 3 and 61 lie outside the table.
         assert {n for _, n, _ in table._values} == {5, 6, 7}
@@ -323,9 +330,9 @@ class TestCriticalValues:
         assert cache_writes == [cache, cache]
 
     def test_cold_fill_memory_is_one_block(self):
-        # A fill of n = 60 holds one block of permutations (about 1 MiB) and
-        # the two statistics' sample arrays (0.8 MiB each); every permutation
-        # at once would be 11 MiB.
+        # A fill of n = 60 holds two blocks of permutations (256 KiB each),
+        # the kernel's block-sized temporaries and the two statistics' sample
+        # arrays (0.8 MiB each); every permutation at once would be 46 MiB.
         table = CriticalValueTable()
         tracing = tracemalloc.is_tracing()
         if not tracing:
@@ -339,6 +346,27 @@ class TestCriticalValues:
             if not tracing:
                 tracemalloc.stop()
         assert peak < 6 * 2**20
+
+    def test_failed_fill_writes_nothing_and_leaves_no_thread(self, tmp_path, monkeypatch,
+                                                             cache_writes):
+        real_statistics = evaluation._block_statistics
+        calls = []
+
+        def failing_statistics(block):
+            calls.append(block.shape)
+            if len(calls) == 5:
+                raise RuntimeError("kernel failed")
+            return real_statistics(block)
+
+        monkeypatch.setattr(evaluation, "_block_statistics", failing_statistics)
+        threads = threading.active_count()
+        cache = tmp_path / "cv.json"
+        table = CriticalValueTable(seed=42, cache_path=cache)
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            table.fill([6, 60])
+        assert len(calls) == 5
+        assert cache_writes == [] and not cache.exists()
+        assert threading.active_count() == threads
 
     def test_cache_written_atomically(self, tmp_path, monkeypatch):
         cache = tmp_path / "cv.json"

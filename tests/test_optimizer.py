@@ -23,7 +23,6 @@ from mathsim.optimizer import (
     ParamSpace,
     SearchObjective,
     cross_validate,
-    default_seed_params,
     load_param_space,
     objective,
     optimize_all,
@@ -34,7 +33,7 @@ from mathsim.optimizer import (
 )
 from mathsim.search import DocumentRecord, Query, batch_search
 
-from helpers import make_params
+from helpers import default_seed_params, make_params
 
 X, Y, Z, W = Variable("x"), Variable("y"), Variable("z"), Variable("w")
 PLUS = FunctionSymbol("plus", "arith1")
