@@ -45,10 +45,6 @@ from .evaluation import (
     EvalReport,
     GroundTruth,
     evaluate,
-    kendall_tau,
-    overall_recall,
-    spearman_rho,
-    top10_recall,
 )
 from .optimizer import (
     ObjectiveWeights,

@@ -173,26 +173,6 @@ def _correlations(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rho, tau
 
 
-def overall_recall(hits: HitList, truth: GroundTruth) -> float:
-    """Fraction of the ground truth present anywhere in the hit list."""
-    return _match(hits, truth)[0] / len(truth.ranked_ids)
-
-
-def top10_recall(hits: HitList, truth: GroundTruth) -> float:
-    """Fraction of the truth's top m found in the hits' top 10 (m = min(10, |truth|))."""
-    return _match(hits, truth)[1] / min(10, len(truth.ranked_ids))
-
-
-def spearman_rho(hits: HitList, truth: GroundTruth) -> float:
-    """Spearman rank correlation between truth order and hit-list order, clamped to [-1, 1]."""
-    return _correlations(np.array([_match(hits, truth)[2]]))[0].item()
-
-
-def kendall_tau(hits: HitList, truth: GroundTruth) -> float:
-    """Kendall rank correlation; pairs tied by a shared absent rank count as neither."""
-    return _correlations(np.array([_match(hits, truth)[2]]))[1].item()
-
-
 def _tail_threshold(ordered: np.ndarray, alpha: float) -> float:
     """Smallest sampled value whose upper tail stays within ``alpha``.
 

@@ -6,6 +6,11 @@ Binding constructs are normalised into ordinary application nodes whose head
 is the binder symbol and whose leading arguments are the bound variables.
 Anything outside this vocabulary (``share``, ``cerror``, ``cs``, ...) is
 rejected loudly rather than silently skipped.
+
+:func:`parse_expression` lets ElementTree parse the text; one recursive walk
+then checks and hash-conses each element.  It checks the character data of an
+application or binding before building its children in document order, and a
+text with several faults reports the first one met in that order.
 """
 
 from __future__ import annotations
@@ -90,11 +95,9 @@ _WRAPPER_TAGS = {"math", "semantics"}
 _ANNOTATION_TAGS = {"annotation", "annotation-xml"}
 
 
-def _local(tag: object) -> str:
+def _local(tag: str) -> str:
     # Strips any XML namespace, e.g. "{http://...}apply" -> "apply".
-    if not isinstance(tag, str):
-        raise MathMLParseError(f"unexpected non-element node: {tag!r}")
-    return tag.rsplit("}", 1)[-1]
+    return tag.rpartition("}")[2]
 
 
 def _byte_offset(text: str, line: int, column: int) -> int:
@@ -106,18 +109,8 @@ def _byte_offset(text: str, line: int, column: int) -> int:
     return len(prefix.encode("utf-8"))
 
 
-def _require_blank(text: str | None, context: str) -> None:
-    if text is not None and text.strip():
-        raise MathMLParseError(f"unexpected character data {text.strip()!r} in <{context}>")
-
-
-def _content_children(elem: ET.Element, context: str) -> list[ET.Element]:
-    _require_blank(elem.text, context)
-    children = []
-    for child in elem:
-        _require_blank(child.tail, context)
-        children.append(child)
-    return children
+def _stray_text(text: str, tag: str) -> MathMLParseError:
+    return MathMLParseError(f"unexpected character data {text.strip()!r} in <{tag}>")
 
 
 def parse_expression(xml_text: str, intern: dict | None = None) -> ExprTree:
@@ -163,83 +156,92 @@ def _unwrap(elem: ET.Element) -> ET.Element:
     return elem
 
 
-def _leaf(table: dict, cls: type, *fields: str | None) -> ExprTree:
-    key = (cls, *fields)
-    node = table.get(key)
-    if node is None:
-        node = table[key] = cls(*fields)
-    return node
-
-
-def _apply(table: dict, head: ExprTree, args: tuple[ExprTree, ...]) -> Apply:
-    # The children are already interned, so their identity is their structure
-    # (Filliatre & Conchon, "Type-safe modular hash-consing", 2006).
-    key = (Apply, id(head), *map(id, args))
-    node = table.get(key)
-    if node is None:
-        node = table[key] = Apply(head, args)
-    return node
-
-
 def _build(elem: ET.Element, table: dict, depth: int) -> ExprTree:
+    """The tree of ``elem``, interned in ``table``: a leaf under its class and fields, an
+    application under the ids of its interned children, so their identity is their
+    structure (Filliatre & Conchon, "Type-safe modular hash-consing", 2006)."""
     if depth > MAX_DEPTH:
         raise MathMLParseError(f"expression nested deeper than {MAX_DEPTH} levels")
-    tag = _local(elem.tag)
-    if tag == "apply":
-        children = _content_children(elem, "apply")
-        if not children:
-            raise MathMLParseError("<apply> requires a head element")
-        head = _build(children[0], table, depth + 1)
-        args = tuple(_build(c, table, depth + 1) for c in children[1:])
-        return _apply(table, head, args)
-    if tag == "bind":
-        return _build_bind(elem, table, depth)
+    tag = elem.tag
+    if "}" in tag:
+        tag = tag.rpartition("}")[2]
+    if tag == "apply" or tag == "bind":
+        children = [*elem]
+        text = elem.text
+        if text and not text.isspace():
+            raise _stray_text(text, tag)
+        for child in children:
+            text = child.tail
+            if text and not text.isspace():
+                raise _stray_text(text, tag)
+        depth += 1
+        if tag == "apply":
+            if not children:
+                raise MathMLParseError("<apply> requires a head element")
+            head = _build(children[0], table, depth)
+            key = [Apply, id(head)]
+            args = []
+            for child in children[1:]:
+                arg = _build(child, table, depth)
+                args.append(arg)
+                key.append(id(arg))
+        else:
+            # Normalised as Apply(binder, bound-variables..., body).
+            if len(children) < 3:
+                raise MathMLParseError("<bind> requires a binder, at least one <bvar> and a body")
+            head = _build(children[0], table, depth)
+            if not isinstance(head, (FunctionSymbol, Apply)):
+                raise MathMLParseError("<bind> binder must be a function symbol")
+            rest = children[1:]
+            args = []
+            while rest and _local(rest[0].tag) == "bvar":
+                bvar = rest.pop(0)
+                inner = [*bvar]
+                for text in [bvar.text, *[child.tail for child in inner]]:
+                    if text and not text.isspace():
+                        raise _stray_text(text, "bvar")
+                if len(inner) != 1 or _local(inner[0].tag) != "ci":
+                    raise MathMLParseError("<bvar> must contain exactly one <ci>")
+                args.append(_build(inner[0], table, depth))
+            if not args:
+                raise MathMLParseError("<bind> requires at least one <bvar>")
+            if len(rest) != 1:
+                raise MathMLParseError("<bind> requires exactly one body expression")
+            args.append(_build(rest[0], table, depth))
+            key = [Apply, id(head), *map(id, args)]
+        key = tuple(key)
+        node = table.get(key)
+        if node is None:
+            node = table[key] = Apply(head, tuple(args))
+        return node
     if tag == "csymbol":
-        cd = elem.attrib.get("cd")
+        cd = elem.get("cd")
         if not cd:
             raise MathMLParseError("<csymbol> requires a cd attribute")
         name = (elem.text or "").strip()
-        if not name or len(elem) > 0:
+        if not name or len(elem):
             raise MathMLParseError("<csymbol> must contain a bare symbol name")
-        return _leaf(table, FunctionSymbol, name, cd)
-    if tag == "ci":
+        key = (FunctionSymbol, name, cd)
+    elif tag == "ci":
         name = (elem.text or "").strip()
-        if not name or len(elem) > 0:
+        if not name or len(elem):
             raise MathMLParseError("<ci> must contain a bare variable name")
-        return _leaf(table, Variable, name)
-    if tag == "cn":
-        if len(elem) > 0:
+        key = (Variable, name)
+    elif tag == "cn":
+        if len(elem):
             raise UnsupportedConstructError(
                 f"unsupported element '{_local(elem[0].tag)}' inside <cn>"
             )
         value = (elem.text or "").strip()
         if not value:
             raise MathMLParseError("<cn> must contain a literal value")
-        return _leaf(table, Constant, value, elem.attrib.get("type"))
-    raise UnsupportedConstructError(f"unsupported element '{tag}'")
-
-
-def _build_bind(elem: ET.Element, table: dict, depth: int) -> Apply:
-    # Normalised as Apply(binder, bound-variables..., body).
-    children = _content_children(elem, "bind")
-    if len(children) < 3:
-        raise MathMLParseError("<bind> requires a binder, at least one <bvar> and a body")
-    binder = _build(children[0], table, depth + 1)
-    if not isinstance(binder, (FunctionSymbol, Apply)):
-        raise MathMLParseError("<bind> binder must be a function symbol")
-    bvars: list[ExprTree] = []
-    rest = children[1:]
-    while rest and _local(rest[0].tag) == "bvar":
-        bvar = rest.pop(0)
-        inner = _content_children(bvar, "bvar")
-        if len(inner) != 1 or _local(inner[0].tag) != "ci":
-            raise MathMLParseError("<bvar> must contain exactly one <ci>")
-        bvars.append(_build(inner[0], table, depth + 1))
-    if not bvars:
-        raise MathMLParseError("<bind> requires at least one <bvar>")
-    if len(rest) != 1:
-        raise MathMLParseError("<bind> requires exactly one body expression")
-    return _apply(table, binder, tuple(bvars) + (_build(rest[0], table, depth + 1),))
+        key = (Constant, value, elem.get("type"))
+    else:
+        raise UnsupportedConstructError(f"unsupported element '{tag}'")
+    node = table.get(key)
+    if node is None:
+        node = table[key] = key[0](*key[1:])
+    return node
 
 
 def height(tree: ExprTree) -> int:

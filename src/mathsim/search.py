@@ -1,9 +1,12 @@
 """Corpus management and exhaustive ranked retrieval.
 
 A corpus is a directory of Strict Content MathML files, one expression per
-file, loaded all-or-nothing.  Retrieval scores every document against the
-query (no index; corpora here are desk scale) and returns a truncated,
-deterministically ordered hit list.
+file, loaded all-or-nothing: a directory that cannot be listed or a file
+that cannot be read or parsed fails the whole load.  Discovery is one
+``os.scandir`` walk over plain string paths, which builds each document id
+as it goes.  Retrieval scores every document against the query (no index;
+corpora here are desk scale) and returns a truncated, deterministically
+ordered hit list.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -105,16 +109,33 @@ class Corpus(tuple):
         return plan
 
 
-def _discover(directory: str | Path) -> list[tuple[str, Path]]:
-    root = Path(directory)
-    if not root.is_dir():
+def _discover(directory: str | Path) -> list[tuple[str, str]]:
+    """``(id, path)`` of every corpus file under ``directory``, sorted by id;
+    a symlinked directory is not entered, and one that cannot be listed fails."""
+    root = str(Path(directory))
+    if not os.path.isdir(root):
         raise CorpusLoadError(f"not a directory: {root}")
     found = []
-    for path in root.rglob("*"):
-        if path.is_file() and path.suffix.lower() in CORPUS_EXTENSIONS:
-            rel = path.relative_to(root)
-            found.append((rel.with_suffix("").as_posix(), path))
-    found.sort(key=lambda pair: pair[0])
+    # (directory, the prefix of its entries' paths, the prefix of their ids)
+    pending = [(root, "" if root == "." else os.path.join(root, ""), "")]
+    while pending:
+        scanned, prefix, id_prefix = pending.pop()
+        try:
+            with os.scandir(scanned) as entries:
+                for entry in entries:
+                    name, path = entry.name, prefix + entry.name
+                    if entry.is_dir(follow_symlinks=False):
+                        pending.append((path, path + os.sep, id_prefix + name + "/"))
+                        continue
+                    # A leading dot starts a name, not a suffix: ".xml" has none.  A
+                    # symlink counts if it resolves to a file; a broken or looping one does not.
+                    dot = name.rfind(".")
+                    if (0 < dot < len(name) - 1 and name[dot:].lower() in CORPUS_EXTENSIONS
+                            and (os.path.isfile(path) if entry.is_symlink() else entry.is_file())):
+                        found.append((id_prefix + name[:dot], path))
+        except OSError as exc:
+            raise CorpusLoadError(f"cannot list directory {scanned}: {exc.strerror}") from exc
+    found.sort(key=itemgetter(0))
     return found
 
 
@@ -122,16 +143,17 @@ def read_expression(path: str | Path, intern: dict | None = None) -> ExprTree:
     """Parse one UTF-8 MathML file; failing to read, decode or parse it raises one
     :class:`MathMLParseError` whose message starts with ``"{path}: "``."""
     try:
-        return parse_expression(Path(path).read_text(encoding="utf-8"), intern)
+        with open(path, encoding="utf-8") as fh:
+            return parse_expression(fh.read(), intern)
     except (OSError, ValueError) as exc:
         # An OSError's text repeats the file name; its strerror does not.
         raise MathMLParseError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
-def _parse_all(entries: list[tuple[str, Path]], what: str) -> list[tuple[str, Path, ExprTree]]:
+def _parse_all(entries: list[tuple[str, str]], what: str) -> list[tuple[str, str, ExprTree]]:
     if not entries:
         raise CorpusLoadError(f"empty {what}: no .xml or .mathml files found")
-    seen: dict[str, Path] = {}
+    seen: dict[str, str] = {}
     for doc_id, path in entries:
         if doc_id in seen:
             raise CorpusLoadError(
@@ -164,7 +186,7 @@ def load_corpus(directory: str | Path, symbols: SymbolConfig = SymbolConfig()) -
     the offending files.
     """
     return Corpus(
-        DocumentRecord(doc_id, str(path), tree, classify(tree, symbols.equality, symbols.inequality))
+        DocumentRecord(doc_id, path, tree, classify(tree, symbols.equality, symbols.inequality))
         for doc_id, path, tree in _parse_all(_discover(directory), "corpus")
     )
 

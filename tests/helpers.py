@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import xml.etree.ElementTree as ET
 from typing import Sequence
 
 import numpy as np
@@ -18,8 +19,21 @@ from mathsim.evaluation import (
     EvalReport,
     GroundTruth,
     QueryEvaluation,
+    _correlations,
+    _match,
 )
-from mathsim.mathml import Apply, Constant, ExprTree, FunctionSymbol, Variable
+from mathsim.mathml import (
+    MAX_DEPTH,
+    Apply,
+    Constant,
+    ExprTree,
+    FunctionSymbol,
+    MathMLParseError,
+    UnsupportedConstructError,
+    Variable,
+    _byte_offset,
+    serialize_expression,
+)
 from mathsim.metric import (
     DECAY_KINDS,
     DEFAULT_COMMUTATIVE,
@@ -28,7 +42,7 @@ from mathsim.metric import (
     _SimContext,
 )
 from mathsim.optimizer import ParamSpace
-from mathsim.search import HitList
+from mathsim.search import HitList, load_corpus, load_queries
 
 CDS = ("arith1", "transc1", "setops")
 FUNC_NAMES = ("plus", "times", "sin", "cos", "minus")
@@ -113,6 +127,25 @@ def random_tree(rng: random.Random, max_height: int = 5, max_fanout: int = 4):
     return Apply(head, args)
 
 
+def write_random_inputs(directory, seed):
+    """Seeded documents and queries composed from a small pool of subtrees."""
+    rng = random.Random(seed)
+    pool = [random_tree(rng, max_height=3, max_fanout=3) for _ in range(8)]
+
+    def compose(height):
+        if height == 0 or rng.random() < 0.3:
+            return rng.choice(pool)
+        head = FunctionSymbol(rng.choice(("plus", "times", "minus")), "arith1")
+        return Apply(head, tuple(compose(height - 1) for _ in range(rng.randint(1, 3))))
+
+    for sub, prefix, count, height in (("corpus", "d", 30, 3), ("queries", "q", 5, 2)):
+        (directory / sub).mkdir()
+        for i in range(count):
+            text = f"<math>{serialize_expression(compose(height))}</math>"
+            (directory / sub / f"{prefix}{i:02d}.xml").write_text(text, encoding="utf-8")
+    return load_corpus(directory / "corpus"), load_queries(directory / "queries")
+
+
 # hypothesis strategies -------------------------------------------------------
 
 leaf_strategy = st.one_of(
@@ -159,6 +192,29 @@ params_strategy = st.builds(
     ineq_up=st.floats(0.0, 0.5),
     eq_up=st.floats(0.0, 0.5),
 )
+
+
+# one query at a time through evaluate's code ----------------------------------
+
+
+def overall_recall(hits: HitList, truth: GroundTruth) -> float:
+    """Fraction of the ground truth present anywhere in the hit list."""
+    return _match(hits, truth)[0] / len(truth.ranked_ids)
+
+
+def top10_recall(hits: HitList, truth: GroundTruth) -> float:
+    """Fraction of the truth's top m found in the hits' top 10 (m = min(10, |truth|))."""
+    return _match(hits, truth)[1] / min(10, len(truth.ranked_ids))
+
+
+def spearman_rho(hits: HitList, truth: GroundTruth) -> float:
+    """Spearman rank correlation between truth order and hit-list order, clamped to [-1, 1]."""
+    return _correlations(np.array([_match(hits, truth)[2]]))[0].item()
+
+
+def kendall_tau(hits: HitList, truth: GroundTruth) -> float:
+    """Kendall rank correlation; pairs tied by a shared absent rank count as neither."""
+    return _correlations(np.array([_match(hits, truth)[2]]))[1].item()
 
 
 # independent oracles ---------------------------------------------------------
@@ -319,3 +375,141 @@ def arg_list_sim_exact(
         for psi in itertools.permutations(range(p), q):
             best = max(best, sum(matrix[psi[j]][j] for j in range(q)))
     return best
+
+
+# MathML walk in seven helpers -------------------------------------------------
+# The oracle of mathml.parse_expression, which does the same in one function.
+
+_WRAPPER_TAGS = {"math", "semantics"}
+_ANNOTATION_TAGS = {"annotation", "annotation-xml"}
+
+
+def _local(tag: object) -> str:
+    # Strips any XML namespace, e.g. "{http://...}apply" -> "apply".
+    if not isinstance(tag, str):
+        raise MathMLParseError(f"unexpected non-element node: {tag!r}")
+    return tag.rsplit("}", 1)[-1]
+
+
+def _require_blank(text: str | None, context: str) -> None:
+    if text is not None and text.strip():
+        raise MathMLParseError(f"unexpected character data {text.strip()!r} in <{context}>")
+
+
+def _content_children(elem: ET.Element, context: str) -> list[ET.Element]:
+    _require_blank(elem.text, context)
+    children = []
+    for child in elem:
+        _require_blank(child.tail, context)
+        children.append(child)
+    return children
+
+
+def parse_expression_recursive(xml_text: str, intern: dict | None = None) -> ExprTree:
+    """``parse_expression`` through the recursive walk, for differential tests."""
+    try:
+        root = ET.fromstring(xml_text)
+    except ET.ParseError as exc:
+        line, column = exc.position
+        offset = _byte_offset(xml_text, line, column)
+        raise MathMLParseError(
+            f"malformed XML at byte offset {offset} "
+            f"(line {line}, column {column}): {exc.msg}"
+        ) from exc
+    except UnicodeEncodeError as exc:
+        # The parser encodes a str as UTF-8, which a lone surrogate cannot be.
+        raise MathMLParseError(
+            f"text is not valid Unicode: {exc.reason} at index {exc.start}"
+        ) from exc
+    return _build(_unwrap(root), {} if intern is None else intern, 0)
+
+
+def _unwrap(elem: ET.Element) -> ET.Element:
+    while _local(elem.tag) in _WRAPPER_TAGS:
+        tag = _local(elem.tag)
+        content = [c for c in elem if _local(c.tag) not in _ANNOTATION_TAGS]
+        if len(content) != 1:
+            raise MathMLParseError(
+                f"<{tag}> must wrap exactly one content expression, found {len(content)}"
+            )
+        elem = content[0]
+    return elem
+
+
+def _leaf(table: dict, cls: type, *fields: str | None) -> ExprTree:
+    key = (cls, *fields)
+    node = table.get(key)
+    if node is None:
+        node = table[key] = cls(*fields)
+    return node
+
+
+def _apply(table: dict, head: ExprTree, args: tuple[ExprTree, ...]) -> Apply:
+    # The children are already interned, so their identity is their structure
+    # (Filliatre & Conchon, "Type-safe modular hash-consing", 2006).
+    key = (Apply, id(head), *map(id, args))
+    node = table.get(key)
+    if node is None:
+        node = table[key] = Apply(head, args)
+    return node
+
+
+def _build(elem: ET.Element, table: dict, depth: int) -> ExprTree:
+    if depth > MAX_DEPTH:
+        raise MathMLParseError(f"expression nested deeper than {MAX_DEPTH} levels")
+    tag = _local(elem.tag)
+    if tag == "apply":
+        children = _content_children(elem, "apply")
+        if not children:
+            raise MathMLParseError("<apply> requires a head element")
+        head = _build(children[0], table, depth + 1)
+        args = tuple(_build(c, table, depth + 1) for c in children[1:])
+        return _apply(table, head, args)
+    if tag == "bind":
+        return _build_bind(elem, table, depth)
+    if tag == "csymbol":
+        cd = elem.attrib.get("cd")
+        if not cd:
+            raise MathMLParseError("<csymbol> requires a cd attribute")
+        name = (elem.text or "").strip()
+        if not name or len(elem) > 0:
+            raise MathMLParseError("<csymbol> must contain a bare symbol name")
+        return _leaf(table, FunctionSymbol, name, cd)
+    if tag == "ci":
+        name = (elem.text or "").strip()
+        if not name or len(elem) > 0:
+            raise MathMLParseError("<ci> must contain a bare variable name")
+        return _leaf(table, Variable, name)
+    if tag == "cn":
+        if len(elem) > 0:
+            raise UnsupportedConstructError(
+                f"unsupported element '{_local(elem[0].tag)}' inside <cn>"
+            )
+        value = (elem.text or "").strip()
+        if not value:
+            raise MathMLParseError("<cn> must contain a literal value")
+        return _leaf(table, Constant, value, elem.attrib.get("type"))
+    raise UnsupportedConstructError(f"unsupported element '{tag}'")
+
+
+def _build_bind(elem: ET.Element, table: dict, depth: int) -> Apply:
+    # Normalised as Apply(binder, bound-variables..., body).
+    children = _content_children(elem, "bind")
+    if len(children) < 3:
+        raise MathMLParseError("<bind> requires a binder, at least one <bvar> and a body")
+    binder = _build(children[0], table, depth + 1)
+    if not isinstance(binder, (FunctionSymbol, Apply)):
+        raise MathMLParseError("<bind> binder must be a function symbol")
+    bvars: list[ExprTree] = []
+    rest = children[1:]
+    while rest and _local(rest[0].tag) == "bvar":
+        bvar = rest.pop(0)
+        inner = _content_children(bvar, "bvar")
+        if len(inner) != 1 or _local(inner[0].tag) != "ci":
+            raise MathMLParseError("<bvar> must contain exactly one <ci>")
+        bvars.append(_build(inner[0], table, depth + 1))
+    if not bvars:
+        raise MathMLParseError("<bind> requires at least one <bvar>")
+    if len(rest) != 1:
+        raise MathMLParseError("<bind> requires exactly one body expression")
+    return _apply(table, binder, tuple(bvars) + (_build(rest[0], table, depth + 1),))

@@ -150,7 +150,8 @@ def test_criterion_4_decay_contracts(bundled_space):
 
 def test_criterion_5_correlation_golden_values():
     with criterion("5 correlation-golden-values"):
-        from mathsim.evaluation import GroundTruth, kendall_tau, spearman_rho
+        from helpers import kendall_tau, spearman_rho
+        from mathsim.evaluation import GroundTruth
         from mathsim.search import HitList
 
         def as_hits(ids):

@@ -1,4 +1,5 @@
 import ast
+import errno
 import json
 import os
 import shutil
@@ -142,6 +143,25 @@ class TestSearchCommand:
         assert main(["search", "--config", str(config), "--query", str(latin)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "latin.xml" in err and "utf-8" in err
+
+    def test_unlistable_corpus_subdirectory_is_data_error(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(ASSETS / "corpus", corpus / "sub")
+        shutil.copy(ASSETS / "corpus" / "newton.xml", corpus)
+        real_scandir = os.scandir
+
+        def scandir(path):
+            if path == str(corpus / "sub"):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        config = write_config(tmp_path, corpus_dir=str(corpus))
+        query = str(ASSETS / "queries" / "q_newton.xml")
+        assert main(["search", "--config", str(config), "--query", query]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: cannot list directory {corpus / 'sub'}: Permission denied\n"
+        )
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_non_positive_n_is_usage_error(self, tmp_path, capsys, n):

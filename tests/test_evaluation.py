@@ -15,12 +15,8 @@ from mathsim.evaluation import (
     CriticalValueTable,
     GroundTruth,
     evaluate,
-    kendall_tau,
-    overall_recall,
     read_ground_truth_csv,
     report_to_csv_text,
-    spearman_rho,
-    top10_recall,
     truth_sizes,
     write_report_json,
 )
@@ -29,10 +25,14 @@ from mathsim.search import HitList
 from helpers import (
     evaluate_pairwise,
     exhaustive_critical_value,
+    kendall_tau,
     kendall_tau_pairwise,
+    overall_recall,
     rho_from_ranks_pairwise,
+    spearman_rho,
     spearman_rho_pairwise,
     tau_from_ranks_pairwise,
+    top10_recall,
 )
 
 # Every (stat, n, level) of the seed-7151 table, as the pairwise sign count

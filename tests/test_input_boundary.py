@@ -23,7 +23,9 @@ from mathsim.evaluation import read_ground_truth_csv
 from mathsim.mathml import MAX_DEPTH, MathMLParseError, height, parse_expression
 from mathsim.metric import load_params
 from mathsim.optimizer import load_param_space
-from mathsim.search import read_expression, read_hitlists_csv
+from mathsim.search import CorpusLoadError, load_corpus, read_expression, read_hitlists_csv
+
+from helpers import parse_expression_recursive
 
 ROOT = Path(__file__).resolve().parent.parent
 ASSETS = ROOT / "assets"
@@ -105,6 +107,19 @@ def test_damaged_mathml_raises_only_parse_error(text):
     assert height(tree) <= MAX_DEPTH
 
 
+@settings(FUZZ, max_examples=100)
+@given(damaged_mathml())
+def test_damaged_mathml_parses_as_the_recursive_walk(text):
+    try:
+        expected = parse_expression_recursive(text)
+    except MathMLParseError as exc:
+        with pytest.raises(MathMLParseError) as info:
+            parse_expression(text)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+    else:
+        assert parse_expression(text) == expected
+
+
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory) -> Path:
     return tmp_path_factory.mktemp("input_boundary")
@@ -125,6 +140,38 @@ def test_damaged_mathml_file_raises_only_parse_error_naming_it(scratch, data):
         read_expression(path)
     except MathMLParseError as exc:
         assert str(exc).startswith(f"{path}: ")
+
+
+def unreadable(data: bytes) -> bool:
+    """Whether a MathML file holding ``data`` fails to decode or to parse."""
+    try:
+        parse_expression_recursive(data.decode("utf-8"))
+    except (UnicodeDecodeError, MathMLParseError):
+        return True
+    return False
+
+
+@settings(FUZZ, max_examples=20)
+@given(data=st.data())
+def test_corpus_with_damaged_files_fails_naming_each(scratch, data):
+    corpus = scratch / "corpus"
+    shutil.rmtree(corpus, ignore_errors=True)
+    corpus.mkdir()
+    texts = data.draw(st.lists(st.sampled_from(MATHML_TEXTS).map(str.encode), min_size=1,
+                               max_size=4))
+    damaged = data.draw(st.lists(
+        st.sampled_from(MATHML_TEXTS).flatmap(lambda text: damaged_bytes(text.encode()))
+        .filter(unreadable), min_size=1, max_size=3))
+    order = data.draw(st.permutations(range(len(texts) + len(damaged))))
+    paths = [corpus / f"f{i}.xml" for i in order]
+    for path, content in zip(paths, texts + damaged):
+        path.write_bytes(content)
+    with pytest.raises(CorpusLoadError) as info:
+        load_corpus(corpus)
+    head, *lines = str(info.value).split("\n")
+    assert head == f"failed to load {len(damaged)} of {len(paths)} corpus files:"
+    assert [line.split(": ", 1)[0] for line in lines] == [
+        f"  {path}" for path in sorted(paths[len(texts):])]
 
 
 CELLS = st.sampled_from(["", "0", "1", "2", "-1", "1.5", "nan", "inf", "q_newton", "newton",

@@ -32,12 +32,17 @@ from mathsim.search import (
     DocumentRecord,
     Query,
     batch_search,
-    load_corpus,
-    load_queries,
     search,
 )
 
-from helpers import make_params, params_strategy, random_params, random_tree, tree_strategy
+from helpers import (
+    make_params,
+    params_strategy,
+    random_params,
+    random_tree,
+    tree_strategy,
+    write_random_inputs,
+)
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 TWO, HALF = Constant("2"), Constant("0.5")
@@ -73,25 +78,6 @@ def plain_corpus(trees):
 
 def plain_queries(trees):
     return [Query(f"q{i:02d}", t) for i, t in enumerate(trees)]
-
-
-def write_random_inputs(directory, seed):
-    """Seeded documents and queries composed from a small pool of subtrees."""
-    rng = random.Random(seed)
-    pool = [random_tree(rng, max_height=3, max_fanout=3) for _ in range(8)]
-
-    def compose(height):
-        if height == 0 or rng.random() < 0.3:
-            return rng.choice(pool)
-        head = FunctionSymbol(rng.choice(("plus", "times", "minus")), "arith1")
-        return Apply(head, tuple(compose(height - 1) for _ in range(rng.randint(1, 3))))
-
-    for sub, prefix, count, height in (("corpus", "d", 30, 3), ("queries", "q", 5, 2)):
-        (directory / sub).mkdir()
-        for i in range(count):
-            text = f"<math>{serialize_expression(compose(height))}</math>"
-            (directory / sub / f"{prefix}{i:02d}.xml").write_text(text, encoding="utf-8")
-    return load_corpus(directory / "corpus"), load_queries(directory / "queries")
 
 
 def all_subtrees(trees):
