@@ -96,7 +96,12 @@ def load_config(path: str | Path) -> RunConfig:
     for key, p in paths.items():
         if not p.exists():
             raise ConfigError(f"configured {key} does not exist: {p}")
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"configured output_dir cannot be created: {config.output_dir}: {exc.strerror}"
+        ) from exc
     return config
 
 

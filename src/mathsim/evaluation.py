@@ -27,7 +27,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import Executor, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -401,17 +401,7 @@ def evaluate(
     return EvalReport(tuple(rows), averages)
 
 
-_REPORT_COLUMNS = (
-    "query_id",
-    "overall_recall",
-    "top10_recall",
-    "rho",
-    "tau",
-    "rho_sig_95",
-    "rho_sig_99",
-    "tau_sig_95",
-    "tau_sig_99",
-)
+_REPORT_COLUMNS = tuple(field.name for field in fields(QueryEvaluation))
 
 
 def _cell(value) -> str:

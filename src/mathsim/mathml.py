@@ -8,9 +8,9 @@ Anything outside this vocabulary (``share``, ``cerror``, ``cs``, ...) is
 rejected loudly rather than silently skipped.
 
 :func:`parse_expression` lets ElementTree parse the text; one recursive walk
-then checks and hash-conses each element.  It checks the character data of an
-application or binding before building its children in document order, and a
-text with several faults reports the first one met in that order.
+then checks and hash-conses each element.  It checks the character data of a
+wrapper, application or binding before building its children in document
+order, and a text with several faults reports the first one met in that order.
 """
 
 from __future__ import annotations
@@ -147,6 +147,9 @@ def parse_expression(xml_text: str, intern: dict | None = None) -> ExprTree:
 def _unwrap(elem: ET.Element) -> ET.Element:
     while _local(elem.tag) in _WRAPPER_TAGS:
         tag = _local(elem.tag)
+        for text in [elem.text, *[child.tail for child in elem]]:
+            if text and not text.isspace():
+                raise _stray_text(text, tag)
         content = [c for c in elem if _local(c.tag) not in _ANNOTATION_TAGS]
         if len(content) != 1:
             raise MathMLParseError(

@@ -427,7 +427,7 @@ def parse_expression_recursive(xml_text: str, intern: dict | None = None) -> Exp
 def _unwrap(elem: ET.Element) -> ET.Element:
     while _local(elem.tag) in _WRAPPER_TAGS:
         tag = _local(elem.tag)
-        content = [c for c in elem if _local(c.tag) not in _ANNOTATION_TAGS]
+        content = [c for c in _content_children(elem, tag) if _local(c.tag) not in _ANNOTATION_TAGS]
         if len(content) != 1:
             raise MathMLParseError(
                 f"<{tag}> must wrap exactly one content expression, found {len(content)}"

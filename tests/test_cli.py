@@ -428,6 +428,18 @@ class TestExitCodes:
         config = write_config(tmp_path, corpus_dir=str(tmp_path / "nowhere"))
         assert main(["evaluate", "--config", str(config)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("name,reason", [
+        ("blocker", "File exists"), ("blocker/sub", "Not a directory"),
+    ], ids=["names-a-file", "below-a-file"])
+    def test_uncreatable_output_dir_is_config_error(self, tmp_path, capsys, name, reason):
+        (tmp_path / "blocker").write_text("")
+        output_dir = tmp_path / name
+        config = write_config(tmp_path, output_dir=str(output_dir))
+        assert main(["evaluate", "--config", str(config)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: configured output_dir cannot be created: {output_dir}: {reason}\n"
+        )
+
     def test_invalid_space_file(self, tmp_path):
         space = tmp_path / "bad_space.json"
         space.write_text(json.dumps({"order": ["mu"], "ranges": {"mu": {"min": 0.0, "max": 0.5, "step": 0.1}}}))

@@ -90,6 +90,11 @@ class TestParsing:
         """
         assert parse_expression(xml) == Apply(PLUS, (Variable("x"), Constant("2")))
 
+    def test_wrapper_whitespace_and_annotation_text_tolerated(self):
+        xml = ("<math>\n <semantics> <ci>x</ci>\n"
+               ' <annotation encoding="TeX">x <b/> y</annotation>\t</semantics>\n</math>')
+        assert parse_expression(xml) == Variable("x")
+
 
 class TestParseErrors:
     def test_malformed_xml_reports_byte_offset(self):
@@ -152,9 +157,18 @@ class TestParseErrors:
          "<ci>x</ci></bind>", "<bvar> must contain exactly one <ci>"),
         ('<bind><csymbol cd="quant1">forall</csymbol><bvar><ci>x</ci></bvar>'
          "<ci>x</ci><ci>y</ci></bind>", "exactly one body expression"),
+        ("<math>junk<ci>x</ci></math>", "unexpected character data 'junk' in <math>"),
+        ("<math><ci>x</ci>more</math>", "unexpected character data 'more' in <math>"),
+        ("<semantics><ci>x</ci>tail<annotation>a</annotation></semantics>",
+         "unexpected character data 'tail' in <semantics>"),
+        ("<semantics><ci>x</ci><annotation>a</annotation>tail</semantics>",
+         "unexpected character data 'tail' in <semantics>"),
+        ("<math><semantics><ci>x</ci></semantics>tail</math>",
+         "unexpected character data 'tail' in <math>"),
     ], ids=["math-empty", "math-two", "semantics-annotation-only", "csymbol-blank",
             "csymbol-child", "cn-blank", "bind-two-children", "bind-variable-binder",
-            "bvar-cn", "bvar-two-ci", "bind-two-bodies"])
+            "bvar-cn", "bvar-two-ci", "bind-two-bodies", "math-text", "math-tail",
+            "semantics-tail", "annotation-tail", "semantics-outer-tail"])
     def test_malformed_construct_rejected(self, xml, message):
         with pytest.raises(MathMLParseError, match=re.escape(message)):
             parse_expression(xml)
