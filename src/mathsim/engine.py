@@ -167,21 +167,25 @@ class NodeTable:
 
     @cached_property
     def walk(self) -> list[tuple[int, list[np.ndarray]]]:
-        """Per depth ``k >= 1``: ``(start, places)`` for a walk down the depths.
+        """Per depth ``k >= 1``: ``(start, places)`` for a walk down the applications.
 
-        Only positions from ``start`` on (height ``k`` or more) have
-        descendants at depth ``k``.  The best of those is the best at depth
-        ``k - 1`` below their children of height ``k - 1`` or more, so the
-        maximum of a row's columns ``places`` of the previous depth takes it
-        from depth ``k - 1`` to ``k``.  Columns count from the previous
-        depth's ``start``; a position with fewer such children repeats its
-        first, which leaves the maximum unchanged.
+        A query application aligns with a document leaf at 0, so the walk
+        holds document applications alone.  Only positions from ``start`` on
+        (height ``k + 1`` or more) have applications at depth ``k`` below
+        them.  The best of those is the best
+        at depth ``k - 1`` below their children of height ``k`` or more, so
+        the maximum of a row's columns ``places`` of the previous depth takes
+        it from depth ``k - 1`` to ``k``.  Depth 0 is the application columns,
+        from ``leaves`` on, and columns count from the previous depth's
+        ``start``; a position with fewer such children repeats its first,
+        which leaves the maximum unchanged.  So there are
+        ``len(level_start) - 3`` depths, none for a table of height 1 or less.
         """
         children = np.column_stack([self.heads, self.args])
         walk = []
-        first = 0
-        for k in range(1, len(self.level_start) - 1):
-            start = int(self.level_start[k])
+        first = self.leaves
+        for k in range(1, len(self.level_start) - 2):
+            start = int(self.level_start[k + 1])
             below = children[start - self.leaves :]
             # Padding is ``size``, above every position.
             kept = (below >= first) & (below < self.size)
@@ -478,14 +482,20 @@ class _ApplyBlock:
         return total
 
     def reach(self, sim: np.ndarray, docs: NodeTable, params: MetricParams) -> np.ndarray:
-        """Root-aligned score of these query applications against every document one."""
+        """Root-aligned score of these query applications against every document one, clamped to 1.
+
+        Columns are the document applications; against a leaf, the aligned
+        score is 0.
+        """
         head = sim.take(self.heads, axis=0).take(docs.heads, axis=1)
-        args = np.zeros_like(head)
+        if not self.places:
+            args = np.zeros_like(head)
         for i, (q_place, d_place) in enumerate(self.places):
             term = sim.take(q_place, axis=0).take(d_place, axis=1)
-            args = args + term
             if i == 0:
-                v00 = term
+                args = v00 = term
+            else:
+                args = args + term
         if self.swap is not None:
             swap, (q_first, d_second), (q_second, d_first) = self.swap
             v01 = sim.take(q_first, axis=0).take(d_second, axis=1)
@@ -497,36 +507,37 @@ class _ApplyBlock:
         alpha = omega / (self.p + omega)
         beta = 1.0 / (self.p + omega)
         aligned = alpha * head + beta * args
-        reach = np.zeros((len(self.rows), docs.size))
-        reach[:, docs.leaves :] = np.minimum(aligned, 1.0, out=aligned)
-        return reach
+        return np.minimum(aligned, 1.0, out=aligned)
 
-    def raise_ancestors(self, sim: np.ndarray, reach: np.ndarray, bounds: np.ndarray, walk) -> None:
-        """Raise the ``sim`` rows of every query subtree above these rows.
+    def raise_ancestors(self, sim: np.ndarray, reach: np.ndarray, bounds: np.ndarray, docs: NodeTable) -> None:
+        """Raise the ``sim`` rows of every query subtree above these rows, in the application columns.
 
         ``reach`` holds the aligned score of each row's subtree with each
-        document subtree; the rows of the block must be final.
+        document application; the rows of the block must be final.  Against
+        a document leaf, and so at depths the walk leaves out, every aligned
+        score is 0, which raises no row.
         """
-        n = reach.shape[1]
-        # The aligned score with the best of each document subtree's
-        # descendants at depth k = 1, 2, ...
+        leaves, n = docs.leaves, docs.size
+        # The aligned score with the best of each document application's
+        # application descendants at depth k = 1, 2, ...
         scale = bounds[self.levels][:, :, None, None]
         at_depth = scale[:, 0] * reach
         below = reach
-        for k, (start, places) in enumerate(walk, start=1):
+        for k, (start, places) in enumerate(docs.walk, start=1):
             # One take per place: packed into one 2-D index and reduced with
             # max(axis=2), the places gathered 7 to 11 times slower.
             deeper = below.take(places[0], axis=1)
             for place in places[1:]:
                 np.maximum(deeper, below.take(place, axis=1), out=deeper)
             below = deeper
-            np.maximum(at_depth[..., start:], scale[:, k] * below, out=at_depth[..., start:])
-        at_depth = at_depth.reshape(-1, n)
+            column = start - leaves
+            np.maximum(at_depth[..., column:], scale[:, k] * below, out=at_depth[..., column:])
+        at_depth = at_depth.reshape(-1, n - leaves)
         for targets, (first, *rest) in self.updates:
             best = at_depth.take(first, axis=0)
             for index in rest:
                 np.maximum(best[: len(index)], at_depth.take(index, axis=0), out=best[: len(index)])
-            sim[targets, :n] = np.maximum(sim[targets, :n], best)
+            sim[targets, leaves:n] = np.maximum(sim[targets, leaves:n], best)
 
 
 class Plan:
@@ -595,7 +606,8 @@ class Plan:
         # query depth and per argument place.
         step = max(1, _CELLS // ((heights + docs.args.shape[1] + 3) * n))
         self.heights = []
-        for h in range(1, heights):
+        # Against documents that are all leaves, the leaf stage is the whole score.
+        for h in (range(1, heights) if docs.leaves < n else ()):
             lo, hi = int(queries.level_start[h]), int(queries.level_start[h + 1])
             # Every subtree of height h has its descendants done; rows of one
             # height only need lower ones, so the block splits freely.
@@ -641,6 +653,6 @@ class Plan:
         self._score_leaves(sim, bounds, params)
         for done, blocks in self.heights:
             for block in blocks:
-                block.raise_ancestors(sim, block.reach(sim, docs, params), bounds, docs.walk)
+                block.raise_ancestors(sim, block.reach(sim, docs, params), bounds, docs)
             np.minimum(sim[done, :n], 1.0, out=sim[done, :n])
         return sim[self.root_index]

@@ -315,13 +315,24 @@ def optimize_model(
     generation on, an improvement of at most ``DEFAULT_TOLERANCE`` over the
     previous generation stops the evolution with ``converged=True``; hitting
     ``GENERATION_CAP`` instead leaves ``converged=False`` and emits a warning.
+
+    ``objective_fn`` must be a pure function of the parameters: a run scores
+    each distinct parameter set once and answers a repeat from a memo that
+    lives for this call alone, so one objective can serve many runs.
     """
+    scored: dict[MetricParams, tuple[float, AverageRow]] = {}
+
+    def once(params: MetricParams) -> tuple[float, AverageRow]:
+        if params not in scored:
+            scored[params] = objective_fn(params)
+        return scored[params]
+
     params = seed_params.with_value("decay_model", model)
-    obj, avgs = objective_fn(params)
+    obj, avgs = once(params)
     generations = [GenerationRecord(0, params, obj, avgs, ())]
     converged = False
     for gen in range(1, GENERATION_CAP + 1):
-        params, obj, avgs, sweeps = run_generation(params, space, objective_fn, (obj, avgs))
+        params, obj, avgs, sweeps = run_generation(params, space, once, (obj, avgs))
         generations.append(GenerationRecord(gen, params, obj, avgs, sweeps))
         if gen >= 2 and obj - generations[-2].objective <= DEFAULT_TOLERANCE:
             converged = True

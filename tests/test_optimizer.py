@@ -336,16 +336,39 @@ class TestOptimizeModel:
         assert run.converged
 
     def test_cap_hit_warns_and_flags(self):
-        space = ParamSpace(("zeta",), {"zeta": GridRange(0.0, 0.9, 0.1)})
-        counter = itertools.count()
+        grid = GridRange(0.0, 0.99, 0.01)
+        space = ParamSpace(("zeta", "delta"), {"zeta": grid, "delta": grid})
 
-        def improving(params):
-            return float(next(counter)), dummy_avgs()
+        def staircase(params):
+            # Each generation can climb one grid step in each parameter, and
+            # no further: zeta pays only up to delta + 1, delta only up to zeta.
+            z, d = round(params.zeta * 100), round(params.delta * 100)
+            return float(2 * min(z, d + 1) + min(d, z)), dummy_avgs()
 
         with pytest.warns(UserWarning, match="did not converge"):
-            run = optimize_model("linear", space, make_params(zeta=0.0), improving)
+            run = optimize_model("linear", space, make_params(zeta=0.0, delta=0.0), staircase)
         assert run.converged is False
         assert len(run.generations) == 26  # seed + 25 capped generations
+        assert run.final_params.zeta == run.final_params.delta == 0.25
+
+    def test_each_parameter_set_scored_once_per_run(self):
+        space = ParamSpace(
+            ("zeta", "delta"),
+            {"zeta": GridRange(0.0, 0.4, 0.1), "delta": GridRange(0.0, 0.4, 0.1)},
+        )
+        calls = []
+
+        def counting(params):
+            calls.append(params)
+            return 1.0 - (params.zeta - 0.2) ** 2 - (params.delta - 0.3) ** 2, dummy_avgs()
+
+        seed = make_params(zeta=0.0, delta=0.0)
+        first = optimize_model("quadratic", space, seed, counting)
+        assert len(calls) == len(set(calls))
+        # The memo lives for one run: a second run on the same objective
+        # scores every set again and gives the same result.
+        assert optimize_model("quadratic", space, seed, counting) == first
+        assert calls[len(calls) // 2 :] == calls[: len(calls) // 2]
 
 
 class TestOptimizeAll:

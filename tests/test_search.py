@@ -6,10 +6,11 @@ import pytest
 
 from mathsim import search as search_module
 from mathsim.mathml import (
-    Apply, FormulaClass, FunctionSymbol, MathMLParseError, Variable, parse_expression,
+    Apply, FormulaClass, FunctionSymbol, MathMLParseError, Variable, classify, parse_expression,
 )
 from mathsim.search import (
     CorpusLoadError,
+    DocumentRecord,
     HitList,
     Query,
     batch_search,
@@ -24,8 +25,8 @@ from mathsim.search import (
 
 from helpers import make_params
 
-X, Y = Variable("x"), Variable("y")
-PLUS = FunctionSymbol("plus", "arith1")
+X, Y, Z = Variable("x"), Variable("y"), Variable("z")
+PLUS, TIMES = FunctionSymbol("plus", "arith1"), FunctionSymbol("times", "arith1")
 
 
 def write_expr(path, body="<ci>x</ci>"):
@@ -260,6 +261,19 @@ class TestBatchSearch:
 
     def test_no_queries_needs_no_corpus(self, bundled_params):
         assert batch_search([], [], bundled_params, {}) == []
+
+    def test_ties_across_the_nth_place_break_by_doc_id(self):
+        # Two exact matches, then four documents tied below them, then the rest:
+        # the 3rd and 4th places fall inside the tie, which doc_id must break.
+        trees = {"e2": Apply(PLUS, (X, Y)), "e1": Apply(PLUS, (X, Y)), "a1": Z, "a2": Z}
+        trees.update((doc_id, Apply(TIMES, (X, Y))) for doc_id in ("t5", "t3", "t9", "t1"))
+        records = [DocumentRecord(doc_id, "<mem>", tree, classify(tree)) for doc_id, tree in trees.items()]
+        random.Random(5).shuffle(records)
+        query = Query("q", Apply(PLUS, (X, Y)))
+        everything = batch_search([query], records, make_params(), {"q": len(records)})[0].hits
+        assert [doc_id for doc_id, _ in everything[:6]] == ["e1", "e2", "t1", "t3", "t5", "t9"]
+        assert len({score for _, score in everything[2:6]}) == 1
+        assert batch_search([query], records, make_params(), {"q": 4})[0].hits == everything[:4]
 
 
 class TestSearchIsOneQueryBatch:

@@ -712,3 +712,69 @@ def test_plans_share_cached_leaf_depths(bundled_corpus, bundled_queries):
         used = [depths for _, depths, _ in plan.leaf_groups]
         assert all(any(row is depths for depths in used) for row in rows)
     assert all(again is row for again, row in zip(table.leaf_depths(shared), rows))
+
+
+# Documents with no applications, documents of height 1 alone (an empty walk),
+# and query applications without arguments, at every level of the query.
+DOCUMENT_SHAPES = {
+    "all-leaves": [X, Y, TWO, HALF, PLUS, SIN, Constant("7")],
+    "height-1": [Apply(PLUS, ()), Apply(PLUS, (X, Y)), Apply(SIN, (X,)), Apply(TIMES, (TWO, X, Y)),
+                 Apply(MINUS, (Y, X, Z, HALF)), Apply(SIN, (PLUS,))],
+}
+ARGUMENTLESS_QUERIES = [
+    Apply(PLUS, ()),
+    Apply(SIN, ()),
+    Apply(SIN, (Apply(PLUS, ()),)),
+    Apply(Apply(PLUS, ()), ()),
+    Apply(TIMES, (Apply(PLUS, ()), X, Apply(SIN, (Apply(MINUS, ()),)))),
+]
+
+
+@pytest.mark.parametrize("shape", DOCUMENT_SHAPES)
+@pytest.mark.parametrize("kind", DECAY_KINDS)
+def test_document_shapes_equal_per_pair(kind, shape, bundled_symbols):
+    docs = DOCUMENT_SHAPES[shape]
+    queries = EDGE_QUERIES + ARGUMENTLESS_QUERIES + [UNPRUNABLE_QUERY]
+    table = NodeTable(docs)
+    assert table.walk == []
+    assert (table.leaves == table.size) == (shape == "all-leaves")
+    commutative = bundled_symbols.commutative
+    for params in (
+        make_params(zeta=1.0, omega=3.1, decay_model=kind, dp_rate=0.1, cp_rate=0.1),
+        random_params(random.Random(DECAY_KINDS.index(kind)), kind),
+    ):
+        reference = np.array([[sim(q, d, params, commutative) for d in docs] for q in queries])
+        assert Plan(table, NodeTable(queries), commutative)(params).tobytes() == reference.tobytes()
+        assert_shared_equals_per_pair(plain_queries(queries), plain_corpus(docs), params, commutative)
+
+
+@pytest.mark.parametrize("kind", DECAY_KINDS)
+def test_argumentless_query_applications_equal_per_pair(kind, bundled_corpus, bundled_symbols):
+    docs = EDGE_DOCS + [d.tree for d in bundled_corpus[:12]]
+    params = random_params(random.Random(40 + DECAY_KINDS.index(kind)), kind)
+    assert_shared_equals_per_pair(
+        plain_queries(ARGUMENTLESS_QUERIES), plain_corpus(docs), params, bundled_symbols.commutative
+    )
+
+
+@pytest.mark.parametrize("inputs", ["bundled", "random", "deep", "edge"])
+def test_walk_gathers_document_applications_alone(inputs, tmp_path, bundled_corpus):
+    if inputs == "bundled":
+        table = bundled_corpus.table
+    elif inputs == "random":
+        table = write_random_inputs(tmp_path, seed=811)[0].table
+    else:
+        table = NodeTable(_deep_trees() if inputs == "deep" else EDGE_DOCS)
+    assert len(table.walk) == len(table.level_start) - 3
+    children = np.column_stack([table.heads, table.args])
+    first = table.leaves
+    for k, (start, places) in enumerate(table.walk, start=1):
+        # Depth k covers the positions of height k + 1 or more.
+        assert start == table.level_start[k + 1]
+        gathered = first + np.array(places)
+        assert gathered.min() >= table.leaves, "a walk index points at a document leaf"
+        # Each index is a child of its position, of height k or more.
+        assert gathered.min() >= table.level_start[k]
+        rows = children[start - table.leaves :]
+        assert all(set(column) <= set(row) for column, row in zip(gathered.T.tolist(), rows.tolist()))
+        first = start
