@@ -131,6 +131,12 @@ def _objective(config: RunConfig) -> tuple[metric.MetricParams, optimizer.Search
     )
 
 
+def _tuning_pool() -> ProcessPoolExecutor | nullcontext:
+    """The pool the decay models tune in: one worker per model, no more than there are cores."""
+    workers = min(os.cpu_count() or 1, len(metric.DECAY_KINDS))
+    return ProcessPoolExecutor(workers) if workers > 1 else nullcontext()
+
+
 def _format_tree(tree: mathml.ExprTree, indent: int = 0) -> list[str]:
     pad = "  " * indent
     if isinstance(tree, mathml.Constant):
@@ -195,9 +201,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     params, objective_fn = _objective(config)
     space = _read_configured(optimizer.load_param_space, config.space_file, "parameter-space")
-    # One worker per decay model, no more than there are cores.
-    workers = min(os.cpu_count() or 1, len(metric.DECAY_KINDS))
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    with _tuning_pool() as pool:
         result = optimizer.optimize_all(space, params, objective_fn, pool=pool)
     summary = {
         "best_model": result.best_model,
@@ -228,7 +232,8 @@ def cmd_xval(args: argparse.Namespace) -> int:
     params, objective_fn = _objective(config)
     space = _read_configured(optimizer.load_param_space, config.space_file, "parameter-space")
     split_seed = args.seed if args.seed is not None else config.split_seed
-    report = optimizer.cross_validate(objective_fn, space, split_seed, params)
+    with _tuning_pool() as pool:
+        report = optimizer.cross_validate(objective_fn, space, split_seed, params, pool=pool)
     text = optimizer.xval_to_csv_text(report)
     (config.output_dir / "xval.csv").write_text(text, encoding="utf-8")
     optimizer.write_xval_json(report, config.output_dir / "xval.json")
@@ -299,7 +304,9 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        # Keys and names from the files arrive as written: escape what would break the line.
+        text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+        print(f"config error: {text}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -127,8 +127,8 @@ class NodeTable:
     - ``level_start[h]`` is the first position of height ``h`` or more.
 
     What plans on the table share is kept on it, read-only, and computed on
-    first use: the walk, least leaf depths, ``arg_places``, and per
-    commutative set :meth:`greedy_classes` and :meth:`greedy_documents`.
+    first use: ``children``, the walk, least leaf depths, ``arg_places``, and
+    per commutative set :meth:`greedy_classes` and :meth:`greedy_documents`.
     """
 
     def __init__(self, trees: Sequence[ExprTree]):
@@ -166,6 +166,13 @@ class NodeTable:
         self._leaf_depths: dict[int, np.ndarray] = {}
 
     @cached_property
+    def children(self) -> np.ndarray:
+        """Per application, its head then its ``args`` row, read-only."""
+        children = np.column_stack([self.heads, self.args])
+        children.flags.writeable = False
+        return children
+
+    @cached_property
     def walk(self) -> list[tuple[int, list[np.ndarray]]]:
         """Per depth ``k >= 1``: ``(start, places)`` for a walk down the applications.
 
@@ -181,12 +188,11 @@ class NodeTable:
         which leaves the maximum unchanged.  So there are
         ``len(level_start) - 3`` depths, none for a table of height 1 or less.
         """
-        children = np.column_stack([self.heads, self.args])
         walk = []
         first = self.leaves
         for k in range(1, len(self.level_start) - 2):
             start = int(self.level_start[k + 1])
-            below = children[start - self.leaves :]
+            below = self.children[start - self.leaves :]
             # Padding is ``size``, above every position.
             kept = (below >= first) & (below < self.size)
             counts = kept.sum(axis=1)
@@ -231,10 +237,9 @@ class NodeTable:
         least = np.full((len(found), self.size + 1), none, dtype=np.min_scalar_type(none + 1))
         least[:, : self.leaves][found] = 0
         # Padding is ``size``: the last column, always the sentinel.
-        children = np.column_stack([self.heads, self.args])
         for h in range(1, none):
             lo, hi = int(self.level_start[h]), int(self.level_start[h + 1])
-            first, *rest = children[lo - self.leaves : hi - self.leaves].T
+            first, *rest = self.children[lo - self.leaves : hi - self.leaves].T
             below = least.take(first, axis=1)
             for place in rest:
                 np.minimum(below, least.take(place, axis=1), out=below)

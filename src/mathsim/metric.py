@@ -180,22 +180,6 @@ class MetricParams:
         return cls(**{k: data[k] for k in names})
 
 
-DEFAULT_PARAMS = MetricParams(
-    delta=0.3,
-    zeta=0.5,
-    mu=0.5,
-    theta=0.2,
-    omega=2.0,
-    decay_model="exponential",
-    dp_rate=0.7,
-    cp_rate=0.7,
-    epsilon=0.05,
-    w_eq=1.5,
-    w_ineq=1.25,
-    w_expr=1.0,
-)
-
-
 @dataclass(frozen=True)
 class SymbolConfig:
     """Symbol inventories: commutative functions plus equality/inequality sets."""

@@ -359,8 +359,8 @@ def optimize_all(
 ) -> OptimizeAllResult:
     """Optimize every decay model and pick the winner (ties: earliest in order).
 
-    The models are independent runs, so with a ``pool`` (an executor) each
-    runs in a worker, which receives ``objective_fn`` once by pickling.
+    The models are independent runs, each in a worker of ``pool`` (an executor),
+    which receives ``objective_fn`` once by pickling, or in turn here without one.
     """
     run_model = partial(
         optimize_model, space=space, seed_params=seed_params, objective_fn=objective_fn
@@ -393,6 +393,7 @@ def cross_validate(
     space: ParamSpace,
     split_seed: int,
     seed_params: MetricParams,
+    pool=None,
 ) -> XValReport:
     """Optimize per model both on all of ``objective``'s queries and on a seeded half-split.
 
@@ -400,16 +401,17 @@ def cross_validate(
     the ``with_cv`` rows are trained on the training half and evaluated on
     the held-out half (an odd query gives the training side the extra one).
     Each half is ``objective`` cut to its queries and truths, observer and all.
+    Both phases tune on ``pool`` as :func:`optimize_all` does; an observer
+    would miss the evaluations of pool workers, so one with a pool is an error.
     """
     if len(objective.queries) < 2:
         raise ValueError("cross-validation needs at least 2 queries")
-    ids = sorted(q.query_id for q in objective.queries)
-    rng = random.Random(split_seed)
-    shuffled = list(ids)
-    rng.shuffle(shuffled)
-    n_train = (len(shuffled) + 1) // 2
-    train_set = set(shuffled[:n_train])
-    test_set = set(ids) - train_set
+    if pool is not None and objective.observer is not None:
+        raise ValueError("an observer cannot see the evaluations of pool workers")
+    shuffled = sorted(q.query_id for q in objective.queries)
+    random.Random(split_seed).shuffle(shuffled)
+    train_set = set(shuffled[: (len(shuffled) + 1) // 2])
+    test_set = set(shuffled) - train_set
 
     def objective_on(kept: set[str]) -> SearchObjective:
         return replace(
@@ -418,8 +420,8 @@ def cross_validate(
             truths=[t for t in objective.truths if t.query_id in kept],
         )
 
-    full = optimize_all(space, seed_params, objective)
-    train = optimize_all(space, seed_params, objective_on(train_set))
+    full = optimize_all(space, seed_params, objective, pool)
+    train = optimize_all(space, seed_params, objective_on(train_set), pool)
     test_obj = objective_on(test_set)
 
     def row(kind: str, protocol: str, avg: AverageRow) -> XValRow:

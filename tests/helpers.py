@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +38,6 @@ from mathsim.mathml import (
 from mathsim.metric import (
     DECAY_KINDS,
     DEFAULT_COMMUTATIVE,
-    DEFAULT_PARAMS,
     MetricParams,
     _SimContext,
 )
@@ -50,15 +50,7 @@ VAR_NAMES = ("x", "y", "z", "u")
 CONST_VALUES = ("0", "1", "2", "3.5")
 
 
-def default_seed_params(space: ParamSpace) -> MetricParams:
-    """Every swept parameter at its first trial value; a deliberately plain start."""
-    values = DEFAULT_PARAMS.to_dict()
-    for name in space.order:
-        values[name] = space.trial_values(name)[0]
-    return MetricParams.from_dict(values)
-
-
-def make_params(
+DEFAULT_PARAMS = MetricParams(
     delta=0.3,
     zeta=0.5,
     mu=0.5,
@@ -71,21 +63,20 @@ def make_params(
     w_eq=1.5,
     w_ineq=1.25,
     w_expr=1.0,
-) -> MetricParams:
-    return MetricParams(
-        delta=delta,
-        zeta=zeta,
-        mu=mu,
-        theta=theta,
-        omega=omega,
-        decay_model=decay_model,
-        dp_rate=dp_rate,
-        cp_rate=cp_rate,
-        epsilon=epsilon,
-        w_eq=w_eq,
-        w_ineq=w_ineq,
-        w_expr=w_expr,
-    )
+)
+
+
+def make_params(**changes) -> MetricParams:
+    """``DEFAULT_PARAMS`` with the named fields changed, validated as any parameter set."""
+    return replace(DEFAULT_PARAMS, **changes)
+
+
+def default_seed_params(space: ParamSpace) -> MetricParams:
+    """Every swept parameter at its first trial value; a deliberately plain start."""
+    values = DEFAULT_PARAMS.to_dict()
+    for name in space.order:
+        values[name] = space.trial_values(name)[0]
+    return MetricParams.from_dict(values)
 
 
 def random_params(rng: random.Random, decay_model: str | None = None) -> MetricParams:

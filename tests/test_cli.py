@@ -399,6 +399,35 @@ class TestXvalCommand:
         assert one["train_queries"] != two["train_queries"]
 
 
+class TestTuningPool:
+    @pytest.mark.parametrize("command,cores,phases", [("optimize", 8, 1), ("xval", 3, 2)])
+    def test_command_runs_every_model_in_one_pool(self, tmp_path, monkeypatch,
+                                                  command, cores, phases):
+        # A stand-in executor that maps in this process: it starts no worker.
+        opened, mapped = [], []
+
+        class Pool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return None
+
+            def map(self, fn, items):
+                items = list(items)
+                mapped.extend(items)
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        assert main([command, "--config", str(write_config(tmp_path))]) == EXIT_OK
+        assert opened == [min(cores, len(DECAY_KINDS))]
+        assert mapped == list(DECAY_KINDS) * phases
+
+
 class TestExitCodes:
     def test_missing_config_file(self, capsys):
         assert main(["search", "--config", "/nope/config.json", "--query", "x"]) == EXIT_CONFIG
@@ -477,6 +506,29 @@ class TestExitCodes:
         what = "params" if key == "params_file" else "parameter-space"
         assert err.startswith(f"config error: bad {what} file {bad}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key,shown", [
+        ("params_file", "unknown keys: bad\\nkey"),
+        ("space_file", "no max in the range of bad\\rname"),
+        ("weights", "unexpected keyword argument 'bad\\u2028weight'"),
+    ], ids=["params-key", "range-name", "weight-name"])
+    def test_line_break_in_a_name_stays_on_one_line(self, tmp_path, capsys, key, shown):
+        # A name read from a file may hold a line break; the message escapes it.
+        if key == "weights":
+            config = write_config(tmp_path, weights={"rho": 1.0, "bad\u2028weight": 1.0})
+        else:
+            base = ASSETS / ("params.json" if key == "params_file" else "space.json")
+            document = json.loads(base.read_text())
+            if key == "params_file":
+                document["bad\nkey"] = 1.0
+            else:
+                document["ranges"]["bad\rname"] = {"min": 0.0, "step": 0.5}
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(document))
+            config = write_config(tmp_path, **{key: str(bad)})
+        assert main(["optimize", "--config", str(config)]) == EXIT_CONFIG
+        line, = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ") and line.endswith(shown)
 
     @pytest.mark.parametrize("command,key", [
         ("evaluate", None), ("search", "params_file"), ("optimize", "space_file"),

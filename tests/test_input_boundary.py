@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mathsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from mathsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, ConfigError, load_config, main
 from mathsim.evaluation import read_ground_truth_csv
 from mathsim.mathml import MAX_DEPTH, MathMLParseError, height, parse_expression
 from mathsim.metric import load_params
@@ -373,3 +373,40 @@ def test_evaluate_on_damaged_hitlists_exits_with_message(evaluate_run, data):
     else:
         assert code in (EXIT_CONFIG, EXIT_DATA)
         assert err.getvalue().startswith("config error: " if code == EXIT_CONFIG else "error: ")
+
+
+def rejects(load, path: Path) -> bool:
+    """Whether ``load`` refuses the file at ``path`` with its documented error."""
+    try:
+        load(path)
+    except (ValueError, ConfigError):
+        return True
+    return False
+
+
+# Each file of the small run that a tuning command reads: its loader and its pristine document.
+TUNING_FILES = {
+    "config.json": (load_config, CONFIG),
+    "params.json": (load_params, json.loads((ASSETS / "params.json").read_text())),
+    "space.json": (load_param_space, json.loads((ASSETS / "space.json").read_text())),
+}
+
+
+@settings(FUZZ, max_examples=30)
+@given(data=st.data())
+@pytest.mark.parametrize("command", ["optimize", "xval"])
+def test_tuning_on_damaged_files_exits_with_one_line(small_run, data, command):
+    damaged = data.draw(st.sets(st.sampled_from(sorted(TUNING_FILES)), min_size=1))
+    for name, (_, document) in TUNING_FILES.items():
+        pinned = PATH_KEYS if name == "config.json" else ()
+        (small_run / name).write_bytes(data.draw(damaged_document(document, pinned))
+                                       if name in damaged else json.dumps(document).encode())
+    # Every example is bad input: no tuning run starts.
+    assume(any(rejects(TUNING_FILES[name][0], small_run / name) for name in damaged))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(small_run / "config.json")])
+    assert code in (EXIT_CONFIG, EXIT_DATA)
+    line, = err.getvalue().splitlines()
+    assert line.startswith("config error: " if code == EXIT_CONFIG else "error: ")
+    assert out.getvalue() == ""

@@ -595,6 +595,32 @@ class TestParallelPaths:
         for kind, run in serial.runs.items():
             assert pooled.runs[kind].to_dict() == run.to_dict()
 
+    def test_pooled_cross_validate_matches_serial(self, mc_table):
+        from concurrent.futures import ProcessPoolExecutor
+
+        corpus, queries, truths, space = tiny_world()
+        fn = SearchObjective(corpus, queries, truths, ObjectiveWeights(),
+                             DEFAULT_COMMUTATIVE, mc_table)
+        seed = default_seed_params(space)
+        serial = cross_validate(fn, space, 3, seed)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            pooled = cross_validate(fn, space, 3, seed, pool=pool)
+        assert pooled.rows == serial.rows
+        assert (pooled.train_ids, pooled.test_ids) == (serial.train_ids, serial.test_ids)
+
+    def test_pooled_cross_validate_rejects_an_observer(self, mc_table):
+        from concurrent.futures import ProcessPoolExecutor
+
+        corpus, queries, truths, space = tiny_world()
+        events = []
+        fn = SearchObjective(corpus, queries, truths, ObjectiveWeights(), DEFAULT_COMMUTATIVE,
+                             mc_table, observer=lambda params, ids: events.append(ids))
+        # The executor starts no worker: nothing is submitted to it.
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(ValueError, match="observer"):
+                cross_validate(fn, space, 3, default_seed_params(space), pool=pool)
+        assert events == []
+
     def test_objective_with_built_plan_pickles(
         self, bundled_corpus, bundled_queries, bundled_truths, bundled_params,
         bundled_symbols, mc_table,
