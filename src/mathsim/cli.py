@@ -22,6 +22,7 @@ from typing import Callable
 
 from . import evaluation, mathml, metric, optimizer
 from .search import (
+    CorpusLoadError,
     load_corpus,
     load_queries,
     read_expression,
@@ -38,6 +39,11 @@ EXIT_DATA = 2
 
 class ConfigError(Exception):
     """Configuration is missing, malformed, or points at absent paths."""
+
+
+def _one_line(exc: Exception) -> str:
+    """The message, with every character that would break the line escaped as ``repr`` does."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
 
 
 @dataclass(frozen=True)
@@ -303,13 +309,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
         return args.handler(args)
+    # Keys, names and ids from the files arrive as written: escape what would
+    # break the line.  A failed corpus load lists its files a line each.
     except ConfigError as exc:
-        # Keys and names from the files arrive as written: escape what would break the line.
-        text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
-        print(f"config error: {text}", file=sys.stderr)
+        print(f"config error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc if isinstance(exc, CorpusLoadError) else _one_line(exc)}", file=sys.stderr)
         return EXIT_DATA
 
 

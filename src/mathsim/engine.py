@@ -9,7 +9,8 @@ per query subtree, filled bottom-up by query height.
 
 Scoring has two steps.  A :class:`Plan`, built once from the document table,
 the query table and the commutative symbols, holds all that the parameters
-leave alone: the leaf terms of each query subtree, and blocks of query
+leave alone: the distinct (leaf term, query depth) rows of the query leaves
+and, per query subtree, the rows it takes its best from; and blocks of query
 applications with their ancestor pairs, argument places, arities and greedy
 pairs.  The document table keeps what depends on the documents alone, for
 every plan on it: the gather lists of the walk down its depths, the least
@@ -19,9 +20,9 @@ greedily.  A one-query plan, built afresh by every search, so gathers its
 greedy pairs from rows the table already holds.  Calling the plan with a
 parameter set is then gathers and arithmetic only, so a tuning run pays for
 the plan once.  The gathers of the walk, the application reach, the greedy
-steps and the ancestor updates are single-axis or flat ``take`` calls over
-indexes the plan holds: on blocks of one or two rows, numpy's 2-D fancy
-indexing costs several times more per call.
+steps, the leaf rows and the ancestor updates are single-axis or flat
+``take`` calls over indexes the plan holds: on blocks of one or two rows,
+numpy's 2-D fancy indexing costs several times more per call.
 
 Every score equals the reference bit for bit, because the engine does the
 same floating-point operations on the same values:
@@ -47,7 +48,7 @@ same floating-point operations on the same values:
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -564,11 +565,18 @@ class Plan:
     each ``(kind, value)`` term only its least ``j`` below ``u``.  A class
     may hold the same leaf, whose class value at the same depth is at most 1.
 
-    ``leaf_groups`` holds one ``(span, depths, targets)`` per term: the
-    ancestors ``targets`` that have it, each once, their least ``j`` at
-    ``leaf_j[span]``, its value at ``leaf_codes[span]`` and the least
-    depths of its kind ``depths``, a row of the document table.  A pass
-    gathers ``leaf_width`` document columns at a time.
+    The ancestors of a term share few distinct least ``j``, so the stage
+    scores each distinct ``(term, j)`` once, as a row: ``leaf_j`` and
+    ``leaf_codes`` hold each row's ``j`` and value code, and ``leaf_spans``
+    one ``(span, depths)`` per term, its rows and the least depths of its
+    kind, a row of the document table.  ``leaf_targets`` are the ancestors
+    with a term, by row count, falling, and ``leaf_ranks`` their member
+    ranks: rank ``c`` holds the ``c``-th row of each target with more than
+    ``c``, over a prefix of the targets.  A pass gathers ``leaf_width``
+    document columns at a time: one take per term fills the rows, then a
+    take and a maximum per rank raise the targets' best, and one assignment
+    writes it, since the stage is the first to write ``sim``.  Maxima are
+    exact, so the order of the rows leaves every score as it was.
     """
 
     def __init__(
@@ -588,21 +596,30 @@ class Plan:
                         found[u] = j
         leaves = sorted({row - classes for row, _ in terms if row >= classes})
         leaf_rows = dict(zip(leaves, docs.leaf_depths(leaves)))
+        # One row per distinct (term, j), each term's rows contiguous in any
+        # order; and per query position, the rows of its terms.
         j_of: list[int] = []
         codes: list[int] = []
-        targets: list[int] = []
-        groups = []
+        self.leaf_spans = []
+        members: list[list[int]] = [[] for _ in range(queries.size)]
         for (row, code), found in terms.items():
+            start = len(j_of)
+            j_of += {*found.values()}
+            place = dict(zip(j_of[start:], range(start, len(j_of))))
+            codes += [code] * (len(j_of) - start)
             depths = docs.class_depths[row] if row < classes else leaf_rows[row - classes]
-            groups.append((slice(len(j_of), len(j_of) + len(found)), depths))
-            targets += found
-            j_of += found.values()
-            codes += [code] * len(found)
-        targets = np.array(targets, dtype=np.intp)
-        self.leaf_groups = [(span, depths, targets[span]) for span, depths in groups]
+            self.leaf_spans.append((slice(start, len(j_of)), depths))
+            for u, j in found.items():
+                members[u].append(place[j])
         self.leaf_j = np.array(j_of, dtype=np.intp)
         self.leaf_codes = np.array(codes, dtype=np.intp)
-        self.leaf_width = max(1, _CELLS // max(map(len, terms.values()), default=1))
+        # The targets by row count, falling, so those with more than c rows
+        # are a prefix, and member rank c is the c-th row of each of them.
+        targets = sorted(filter(members.__getitem__, range(queries.size)), key=lambda u: -len(members[u]))
+        self.leaf_targets = np.array(targets, dtype=np.intp)
+        self.leaf_ranks = [np.array([r for r in rank if r is not None], dtype=np.intp)
+                           for rank in zip_longest(*[members[u] for u in targets])]
+        self.leaf_width = max(1, _CELLS // max(len(j_of), len(targets), 1))
 
         greedy_class = queries.greedy_classes(commutative).tolist()
         greedy_docs = docs.greedy_documents(commutative)
@@ -624,18 +641,32 @@ class Plan:
         self.root_index = queries.roots[:, None], docs.roots
 
     def _score_leaves(self, sim: np.ndarray, bounds: np.ndarray, params: MetricParams) -> None:
-        """Raise the ``sim`` rows of every query ancestor with its leaves' best."""
+        """Write the ``sim`` row of every query ancestor with a leaf term: its leaves' best."""
+        if not self.leaf_ranks:
+            return
         values = np.array([0.0, params.delta, params.theta, params.zeta, params.mu, 1.0])
-        # Per term and depth, ``(cp[j] * dp[k]) * value``; the last column,
-        # 0, is where the least-depth sentinel points.
+        # Per (term, j) row and depth, ``(cp[j] * dp[k]) * value``; the last
+        # column, 0, is where the least-depth sentinel points.
         scored = np.zeros((len(self.leaf_j), bounds.shape[1] + 1))
-        np.multiply(bounds[self.leaf_j], values[self.leaf_codes][:, None], out=scored[:, :-1])
-        n = self.docs.size
-        for first in range(0, n, self.leaf_width):
-            columns = slice(first, min(first + self.leaf_width, n))
-            for span, depths, targets in self.leaf_groups:
-                best = scored[span].take(depths[columns], axis=1)
-                sim[targets, columns] = np.maximum(sim[targets, columns], best)
+        np.multiply(bounds.take(self.leaf_j, axis=0), values.take(self.leaf_codes)[:, None], out=scored[:, :-1])
+        n, rows, targets = self.docs.size, len(self.leaf_j), len(self.leaf_targets)
+        # One allocation for the pass, reused by every piece: a fresh
+        # gathered array per piece slowed one-query searches.
+        buffer = np.empty((rows + targets) * min(self.leaf_width, n))
+        first, *rest = self.leaf_ranks
+        for lo in range(0, n, self.leaf_width):
+            columns = slice(lo, min(lo + self.leaf_width, n))
+            width = columns.stop - lo
+            gathered = buffer[: rows * width].reshape(rows, width)
+            best = buffer[rows * width : (rows + targets) * width].reshape(targets, width)
+            for span, depths in self.leaf_spans:
+                # Every index is in range; "wrap" lets take write to out unbuffered.
+                scored[span].take(depths[columns], axis=1, out=gathered[span], mode="wrap")
+            gathered.take(first, axis=0, out=best, mode="wrap")
+            for column in rest:
+                head = best[: len(column)]
+                np.maximum(head, gathered.take(column, axis=0), out=head)
+            sim[self.leaf_targets, columns] = best
 
     def __call__(self, params: MetricParams) -> np.ndarray:
         """``sim`` of every query root (rows) against every document root.

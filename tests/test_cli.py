@@ -54,6 +54,14 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def forged_truth(tmp_path):
+    """The bundled truth plus a query whose quoted id holds a line break."""
+    truth = tmp_path / "truth.csv"
+    forged = '"q_x\nforged line"'
+    truth.write_text((ASSETS / "truth.csv").read_text() + f"{forged},1,newton\n{forged},2,coulomb\n")
+    return truth
+
+
 class TestParseCommand:
     def test_parse_bundled_file(self, capsys):
         code = main(["parse", str(ASSETS / "corpus" / "newton.xml")])
@@ -319,6 +327,14 @@ class TestEvaluateCommand:
         assert not (tmp_path / "out" / "report.json").exists()
 
 
+    def test_line_break_in_a_truth_id_stays_on_one_line(self, tmp_path, capsys):
+        # A quoted CSV cell may hold a line break; the data error escapes it.
+        config = write_config(tmp_path, truth_file=str(forged_truth(tmp_path)))
+        assert main(["evaluate", "--config", str(config)]) == EXIT_DATA
+        line, = capsys.readouterr().err.splitlines()
+        assert line == "error: ground truth without queries: q_x\\nforged line"
+
+
 class TestOptimizeCommand:
     def test_optimize_writes_runs_and_summary(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -353,6 +369,13 @@ class TestOptimizeCommand:
         assert main(["optimize", "--config", str(config)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "queries without ground truth: q_newton" in err
+        assert not (tmp_path / "out" / "optimize_summary.json").exists()
+
+    def test_line_break_in_a_truth_id_stays_on_one_line(self, tmp_path, capsys):
+        config = write_config(tmp_path, truth_file=str(forged_truth(tmp_path)))
+        assert main(["optimize", "--config", str(config)]) == EXIT_DATA
+        line, = capsys.readouterr().err.splitlines()
+        assert line == "error: ground truth without queries: q_x\\nforged line"
         assert not (tmp_path / "out" / "optimize_summary.json").exists()
 
     def test_bundled_run_reproduces_committed_output(self, tmp_path):

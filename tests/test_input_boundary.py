@@ -8,6 +8,7 @@ JSON values.  The approach is that of MacIver and Hatfield-Dodds,
 """
 
 import contextlib
+import csv
 import io
 import json
 import re
@@ -373,6 +374,43 @@ def test_evaluate_on_damaged_hitlists_exits_with_message(evaluate_run, data):
     else:
         assert code in (EXIT_CONFIG, EXIT_DATA)
         assert err.getvalue().startswith("config error: " if code == EXIT_CONFIG else "error: ")
+
+
+# CSV cells of any text but lone surrogates: line breaks, commas and quotes included.
+CSV_TEXT = st.text(CHARS, min_size=1, max_size=6)
+
+
+def csv_bytes(header: list[str], rows: list[list]) -> bytes:
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows([header, *rows])
+    return text.getvalue().encode("utf-8")
+
+
+@settings(FUZZ, max_examples=30)
+@given(data=st.data())
+def test_evaluate_on_generated_ids_exits_with_one_line(evaluate_run, data):
+    truth_header = data.draw(st.just(["query_id", "rank", "doc_id"]) | st.lists(CSV_TEXT, max_size=4))
+    hits_header = data.draw(st.just(["query_id", "rank", "doc_id", "score"]) | st.lists(CSV_TEXT, max_size=5))
+    queries = data.draw(st.lists(CSV_TEXT, min_size=1, max_size=3, unique=True))
+    docs = data.draw(st.lists(CSV_TEXT, min_size=2, max_size=4, unique=True))
+    # A hit list for a query the truth lacks: every example is bad input.
+    stray = data.draw(CSV_TEXT.filter(lambda query: query not in queries))
+    run = evaluate_run / "generated"
+    (run / "out").mkdir(parents=True, exist_ok=True)
+    shutil.copy(evaluate_run / "out" / "critical_values.json", run / "out")
+    (run / "truth.csv").write_bytes(csv_bytes(truth_header, [
+        [query, rank, doc] for query in queries for rank, doc in enumerate(docs, 1)]))
+    (run / "hits.csv").write_bytes(csv_bytes(hits_header, [
+        [query, rank, doc, 0.5] for query in [*queries, stray] for rank, doc in enumerate(docs, 1)]))
+    config = json.loads((evaluate_run / "config.json").read_text())
+    (run / "config.json").write_text(json.dumps({**config, "truth_file": "truth.csv"}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--config", str(run / "config.json"), "--hitlists", str(run / "hits.csv")])
+    assert code in (EXIT_CONFIG, EXIT_DATA)
+    line, = err.getvalue().splitlines()
+    assert line.startswith("config error: " if code == EXIT_CONFIG else "error: ")
+    assert out.getvalue() == ""
 
 
 def rejects(load, path: Path) -> bool:

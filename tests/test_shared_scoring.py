@@ -625,7 +625,7 @@ def test_leaf_stage_equals_per_pair(kind, setting):
     # symbol gets no term at all.
     absent = [q_table.leaf_position[engine._leaf_key(leaf)] for leaf in (Variable("w"), Constant("42"))]
     lonely = q_table.leaf_position[engine._leaf_key(LONELY)]
-    scored = {int(u) for _, _, targets in plan.leaf_groups for u in targets}
+    scored = set(plan.leaf_targets.tolist())
     assert set(absent) <= scored and lonely not in scored
     assert all(key not in d_table.leaf_position for key in map(engine._leaf_key, (Variable("w"), LONELY)))
 
@@ -637,6 +637,96 @@ def test_leaf_stage_column_pieces_equal_per_pair(kind, monkeypatch):
     params = make_params(omega=3.1, zeta=1.0, decay_model=kind, dp_rate=0.3, cp_rate=0.2)
     plan, _, d_table = _leaf_stage_equals_per_pair(LEAF_DOCS, LEAF_QUERIES, params)
     assert len(range(0, d_table.size, plan.leaf_width)) > 2
+
+
+# The leaf stage against the per-pair metric.  The wide query holds 24
+# distinct leaves that the documents have, so its root has more than 20 (term,
+# j) rows; f(x), f(y) and f(z) share the variable class's row at j = 1; at
+# zeta 1 a variable's class term ties with its exact term; and the lonely
+# queries have no leaf term at all.
+WIDE_LEAVES = [Variable(f"v{i}") for i in range(12)] + [Constant(str(i)) for i in range(10)] + [SIN, PLUS]
+LEAF_STAGE_DOCS = [
+    Apply(TIMES, tuple(WIDE_LEAVES[:12])),
+    Apply(MINUS, tuple(WIDE_LEAVES[12:])),
+    g(f(X), f(Y, TWO), g(f(Z))),
+    f(g(f(g(X))), HALF),
+    X, TWO, SIN,
+]
+LEAF_STAGE_QUERIES = [
+    Apply(PLUS, (Apply(TIMES, tuple(WIDE_LEAVES[:12])), *WIDE_LEAVES[12:])),
+    g(f(X), f(Y), f(Z)),
+    f(X, Variable("w")),
+]
+LONELY_QUERIES = [LONELY, Apply(LONELY, ()), Apply(LONELY, (Apply(LONELY, ()),))]
+# Zeta 1 ties each variable's class term with its exact term; below 1 the
+# exact term wins alone.
+LEAF_STAGE_SETTINGS = {
+    "omega-3.1": dict(omega=3.1, zeta=1.0, dp_rate=0.3, cp_rate=0.2),
+    "epsilon-floor": dict(dp_rate=0.3, cp_rate=0.9, epsilon=0.2),
+}
+LEAF_STAGE_DOC_SETS = {
+    "mixed": LEAF_STAGE_DOCS,
+    # Leaves the queries lack too, which only class terms score.
+    "all-leaves": [X, Y, Z, TWO, HALF, SIN, PLUS, MINUS, Variable("u"), Constant("99"), *WIDE_LEAVES],
+}
+
+
+@pytest.mark.parametrize("cells", [1, 8, engine._CELLS], ids=["cells-1", "cells-8", "cells-default"])
+@pytest.mark.parametrize("docs", LEAF_STAGE_DOC_SETS)
+@pytest.mark.parametrize("setting", LEAF_STAGE_SETTINGS)
+@pytest.mark.parametrize("kind", DECAY_KINDS)
+def test_leaf_stage_differential(kind, setting, docs, cells, monkeypatch):
+    monkeypatch.setattr(engine, "_CELLS", cells)
+    params = make_params(decay_model=kind, **LEAF_STAGE_SETTINGS[setting])
+    documents = LEAF_STAGE_DOC_SETS[docs]
+    plan, q_table, d_table = _leaf_stage_equals_per_pair(documents, LEAF_STAGE_QUERIES, params)
+    assert (d_table.leaves == d_table.size) == (docs == "all-leaves")
+    # The wide root has more than 20 rows, and some row serves several targets.
+    assert len(plan.leaf_ranks) > 20
+    members = np.concatenate(plan.leaf_ranks).tolist()
+    assert len(set(members)) < len(members)
+    # Variables have exact rows, and class rows that tie with them at zeta 1.
+    x = d_table.leaf_position[engine._leaf_key(X)]
+    exact = [span for span, depths in plan.leaf_spans if depths is d_table.leaf_depths([x])[0]]
+    assert exact and set(plan.leaf_codes[exact[0]].tolist()) == {5}
+    assert 3 in plan.leaf_codes.tolist()
+    # Queries without a leaf term leave the stage empty, and score 0 throughout.
+    lonely, _, _ = _leaf_stage_equals_per_pair(documents, LONELY_QUERIES, params)
+    assert lonely.leaf_ranks == [] and not lonely.leaf_targets.size
+
+
+def _leaf_stage_arrays(plan):
+    """Every array the plan keeps for its leaf stage, lists and pairs opened."""
+    found, pending = [], [value for name, value in vars(plan).items() if name.startswith("leaf_")]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, (list, tuple)):
+            pending.extend(value)
+    return found
+
+
+def test_leaf_stage_keeps_no_document_sized_arrays(bundled_corpus, bundled_queries, bundled_symbols):
+    # Nothing the stage keeps grows with rows times documents: a gather index
+    # of that size would be built again by every one-query search.  Only the
+    # table's depth rows may span the documents.
+    docs, commutative = bundled_corpus.table, bundled_symbols.commutative
+    leaf_rows = docs.leaf_depths(range(docs.leaves))
+    for queries in (bundled_queries.table, NodeTable([bundled_queries[0].tree])):
+        plan = Plan(docs, queries, commutative)
+        rows, entries = len(plan.leaf_j), sum(map(len, plan.leaf_ranks))
+        kept = []
+        for array in _leaf_stage_arrays(plan):
+            if array.size == docs.size:
+                # A leaf's cached row itself, or a row of the class table.
+                assert any(array is row for row in leaf_rows) or any(
+                    array.ctypes.data == row.ctypes.data for row in docs.class_depths)
+            else:
+                kept.append(array)
+        assert all(array.ndim == 1 and array.size <= entries for array in kept)
+        assert sum(array.size for array in kept) <= 2 * (rows + entries)
+        assert len(plan.leaf_spans) == sum(array.size == docs.size for array in _leaf_stage_arrays(plan))
 
 
 def _brute_force_least_depths(table, trees):
@@ -709,7 +799,7 @@ def test_plans_share_cached_leaf_depths(bundled_corpus, bundled_queries):
     rows = table.leaf_depths(shared)
     second = Plan(table, fewer, frozenset())
     for plan in (first, second):
-        used = [depths for _, depths, _ in plan.leaf_groups]
+        used = [depths for _, depths in plan.leaf_spans]
         assert all(any(row is depths for depths in used) for row in rows)
     assert all(again is row for again, row in zip(table.leaf_depths(shared), rows))
 
