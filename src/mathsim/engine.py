@@ -12,17 +12,20 @@ the query table and the commutative symbols, holds all that the parameters
 leave alone: the distinct (leaf term, query depth) rows of the query leaves
 and, per query subtree, the rows it takes its best from; and blocks of query
 applications with their ancestor pairs, argument places, arities and greedy
-pairs.  The document table keeps what depends on the documents alone, for
-every plan on it: the gather lists of the walk down its depths, the least
-depth of each kind of leaf below each position, its argument columns, and,
-per commutative set, the documents each class of query application matches
+pairs.  A table holds its applications' children once, in one column-major
+array of child places.  The document table keeps what depends on the
+documents alone, for every plan on it: the gather lists of the walk down its
+depths, the least depth of each kind of leaf below each position, and, per
+commutative set, the documents each class of query application matches
 greedily.  A one-query plan, built afresh by every search, so gathers its
 greedy pairs from rows the table already holds.  Calling the plan with a
 parameter set is then gathers and arithmetic only, so a tuning run pays for
 the plan once.  The gathers of the walk, the application reach, the greedy
 steps, the leaf rows and the ancestor updates are single-axis or flat
 ``take`` calls over indexes the plan holds: on blocks of one or two rows,
-numpy's 2-D fancy indexing costs several times more per call.
+numpy's 2-D fancy indexing costs several times more per call.  The leaf
+stage and the ancestor updates raise each target to the best of its member
+rows the same way, by member rank (:func:`_member_ranks`, :func:`_raise`).
 
 Every score equals the reference bit for bit, because the engine does the
 same floating-point operations on the same values:
@@ -123,13 +126,16 @@ class NodeTable:
     :func:`_leaf_key`, and ``leaf_position`` maps back.  Applications are
     indexed from ``leaves`` on:
 
-    - ``heads[a]`` and ``args[a]`` are the positions of the children of
-      position ``leaves + a``; ``args`` is padded with ``size``;
+    - ``places`` holds the children once, read-only and C-contiguous, one
+      row per child place: ``places[0, a]`` is the head of position
+      ``leaves + a`` and ``places[1 + i, a]`` its argument ``i``, padded
+      with ``size``; ``heads`` and ``args`` are views of it, ``heads[a]``
+      the head and ``args[a]`` the arguments;
     - ``level_start[h]`` is the first position of height ``h`` or more.
 
     What plans on the table share is kept on it, read-only, and computed on
-    first use: ``children``, the walk, least leaf depths, ``arg_places``, and
-    per commutative set :meth:`greedy_classes` and :meth:`greedy_documents`.
+    first use: the walk, least leaf depths, and per commutative set
+    :meth:`greedy_classes` and :meth:`greedy_documents`.
     """
 
     def __init__(self, trees: Sequence[ExprTree]):
@@ -157,21 +163,14 @@ class NodeTable:
         )
 
         children = [[rank[c] for c in keys[old][1:]] for old in order[self.leaves:]]
-        self.heads = np.array([c[0] for c in children], dtype=np.intp)
         self.arity = np.array([len(c) - 1 for c in children], dtype=np.intp)
-        width = max(map(len, children), default=1) - 1
-        self.args = np.array([c[1:] + [self.size] * (width + 1 - len(c)) for c in children],
-                             dtype=np.intp).reshape(len(children), width)
+        self.places = np.array([*zip_longest(*children, fillvalue=self.size)], dtype=np.intp).reshape(
+            max(map(len, children), default=1), len(children))
+        self.places.flags.writeable = False
+        self.heads, self.args = self.places[0], self.places[1:].T
         self._greedy_classes: dict[frozenset, np.ndarray] = {}
         self._greedy_documents: dict[frozenset, tuple[np.ndarray, list[bool], list[_LoopDocuments]]] = {}
         self._leaf_depths: dict[int, np.ndarray] = {}
-
-    @cached_property
-    def children(self) -> np.ndarray:
-        """Per application, its head then its ``args`` row, read-only."""
-        children = np.column_stack([self.heads, self.args])
-        children.flags.writeable = False
-        return children
 
     @cached_property
     def walk(self) -> list[tuple[int, list[np.ndarray]]]:
@@ -193,15 +192,15 @@ class NodeTable:
         first = self.leaves
         for k in range(1, len(self.level_start) - 2):
             start = int(self.level_start[k + 1])
-            below = self.children[start - self.leaves :]
+            below = self.places[:, start - self.leaves :]
             # Padding is ``size``, above every position.
             kept = (below >= first) & (below < self.size)
-            counts = kept.sum(axis=1)
+            counts = kept.sum(axis=0)
             # Kept children first, in order; each position has at least one.
-            packed = np.take_along_axis(below, np.argsort(~kept, axis=1, kind="stable"), axis=1)
-            packed = packed[:, : counts.max()]
-            packed = np.where(np.arange(packed.shape[1]) < counts[:, None], packed, packed[:, :1])
-            walk.append((start, [np.ascontiguousarray(place) for place in (packed - first).T]))
+            packed = np.take_along_axis(below, np.argsort(~kept, axis=0, kind="stable"), axis=0)
+            packed = packed[: counts.max()]
+            packed = np.where(np.arange(len(packed))[:, None] < counts, packed, packed[:1])
+            walk.append((start, list(packed - first)))
             first = start
         return walk
 
@@ -240,7 +239,7 @@ class NodeTable:
         # Padding is ``size``: the last column, always the sentinel.
         for h in range(1, none):
             lo, hi = int(self.level_start[h]), int(self.level_start[h + 1])
-            first, *rest = self.children[lo - self.leaves : hi - self.leaves].T
+            first, *rest = self.places[:, lo - self.leaves : hi - self.leaves]
             below = least.take(first, axis=1)
             for place in rest:
                 np.minimum(below, least.take(place, axis=1), out=below)
@@ -327,13 +326,6 @@ class NodeTable:
             found = self._greedy_documents[symbols] = swap, swap.any(axis=1).tolist(), loops
         return found
 
-    @cached_property
-    def arg_places(self) -> list[np.ndarray]:
-        """Each column of ``args``, contiguous and read-only: an argument place of every application."""
-        columns = self.args.T.copy()
-        columns.flags.writeable = False
-        return list(columns)
-
 
 class _LoopDocuments(NamedTuple):
     """The document applications, of three or more arguments, that one class of query row loops over.
@@ -371,6 +363,34 @@ def _join(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _member_ranks(members: dict[int, list[int]], step: int) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """``{target: member rows}`` as ``(targets, ranks)`` pieces of at most ``step`` targets.
+
+    Targets are ordered by member count, falling, so those with more than
+    ``c`` members are a prefix, and rank ``c`` holds the ``c``-th member of
+    each of them.
+    """
+    targets = sorted(members, key=lambda u: -len(members[u]))
+    pieces = []
+    for first in range(0, len(targets), step):
+        piece = targets[first : first + step]
+        ranks = [np.array([r for r in rank if r is not None], dtype=np.intp)
+                 for rank in zip_longest(*[members[u] for u in piece])]
+        pieces.append((np.array(piece, dtype=np.intp), ranks))
+    return pieces
+
+
+def _raise(rows: np.ndarray, ranks: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """Each target's maximum over its member ``rows``: a take and a maximum per rank."""
+    first, *rest = ranks
+    # Every index is in range; "wrap" lets take write to out unbuffered.
+    best = rows.take(first, axis=0, out=out, mode="wrap")
+    for rank in rest:
+        head = best[: len(rank)]
+        np.maximum(head, rows.take(rank, axis=0), out=head)
+    return best
+
+
 class _ApplyBlock:
     """Query applications of one height that one pass scores, and the ancestors they raise.
 
@@ -381,22 +401,20 @@ class _ApplyBlock:
     ``(levels, rows, n)`` array; viewed as ``(levels * rows, n)``, pair
     ``(j, s)`` is the flat row ``level * rows + local``, where ``level``
     indexes ``levels`` and ``local`` is ``s``'s row in the block.
-    ``updates`` cut the ancestors into pieces of about ``_CELLS`` floats;
-    within a piece they are ordered by pair count, most first, so the
-    ``c``-th pairs of those with more than ``c`` form one column of flat rows
-    over a prefix of the piece.
+    ``updates`` are the :func:`_member_ranks` pieces of the ancestors and
+    their flat rows, about ``_CELLS`` floats each.
 
-    ``heads`` and each of ``places`` are 1-D positions: the query side picks
-    rows of ``sim`` and the document side, one entry per document
-    application, picks columns.  The document sides are the table's
-    ``arg_places``; query places past every row's arity are left out.
+    ``heads`` and each of ``places`` are 1-D query positions, one per row,
+    that pick rows of ``sim``; the columns are the document places of the
+    same child, rows of the document table's ``places``.  Query places past
+    every row's arity, or past the documents' width, are left out.
 
     Arguments are matched greedily where both heads are symbols and either is
     commutative, so a row's greedy pairs depend on its class in
     :meth:`NodeTable.greedy_documents` alone.  Where the document has two
     arguments, ``swap`` holds the mask of those pairs, rows of the table's
-    ``swap``, and the places of ``v01`` and ``v10``; padding stands in for a
-    missing second query argument.  Where it has one, the ordered sum is the
+    ``swap``, and the first and second query places; padding stands in for
+    a missing second query argument.  Where it has one, the ordered sum is the
     greedy one.  Only documents with three or more arguments run the greedy
     loop: each row against its class's loop documents.  The pairs are
     ordered by how many arguments they match, most first, so those that
@@ -421,32 +439,22 @@ class _ApplyBlock:
         for s in rows:
             for j, u in ancestors[s]:
                 pairs.setdefault(u, []).append(first_row[j] + s - rows.start)
-        targets = sorted(pairs, key=lambda u: -len(pairs[u]))
-        step = max(1, _CELLS // docs.size)
-        self.updates = []
-        for first in range(0, len(targets), step):
-            piece = [pairs[u] for u in targets[first : first + step]]
-            columns = [
-                np.array([found[c] for found in piece if len(found) > c], dtype=np.intp)
-                for c in range(len(piece[0]))
-            ]
-            self.updates.append((np.array(targets[first : first + step]), columns))
+        self.updates = _member_ranks(pairs, max(1, _CELLS // docs.size))
 
         apps = slice(rows.start - queries.leaves, rows.stop - queries.leaves)
         self.heads = queries.heads[apps]
         arity = queries.arity[apps].tolist()
-        d_places = docs.arg_places
-        # Places past the rows' arity are padding, which adds +0.0.
-        self.places = [(q_place[apps], d_place)
-                       for q_place, d_place in zip(queries.arg_places[: max(arity)], d_places)]
+        # Places past the rows' arity are padding, which adds +0.0, and so are
+        # those past the documents' width.
+        self.places = list(queries.places[1 : 1 + min(max(arity), docs.args.shape[1]), apps])
         self.p = p[apps]
         swap, swaps, loops = greedy_docs
         classes = greedy_class[apps]
         self.swap = None
         if any([swaps[c] for c in classes]):
-            (q_first, d_first), *rest = self.places
-            q_second = rest[0][0] if rest else np.full(len(rows), queries.size)
-            self.swap = swap.take(classes, axis=0), (q_first, d_places[1]), (q_second, d_first)
+            q_first, *rest = self.places
+            q_second = rest[0] if rest else np.full(len(rows), queries.size)
+            self.swap = swap.take(classes, axis=0), q_first, q_second
 
         # A row matches more than i arguments with the first wider[i] of its
         # loop documents, up to its own arity.  So its pairs split into runs
@@ -496,19 +504,20 @@ class _ApplyBlock:
         head = sim.take(self.heads, axis=0).take(docs.heads, axis=1)
         if not self.places:
             args = np.zeros_like(head)
-        for i, (q_place, d_place) in enumerate(self.places):
-            term = sim.take(q_place, axis=0).take(d_place, axis=1)
-            if i == 0:
+        # Row i of the table's places is document argument place i - 1.
+        for i, q_place in enumerate(self.places, start=1):
+            term = sim.take(q_place, axis=0).take(docs.places[i], axis=1)
+            if i == 1:
                 args = v00 = term
             else:
                 args = args + term
         if self.swap is not None:
-            swap, (q_first, d_second), (q_second, d_first) = self.swap
-            v01 = sim.take(q_first, axis=0).take(d_second, axis=1)
-            v10 = sim.take(q_second, axis=0).take(d_first, axis=1)
+            swap, q_first, q_second = self.swap
+            v01 = sim.take(q_first, axis=0).take(docs.places[2], axis=1)
+            v10 = sim.take(q_second, axis=0).take(docs.places[1], axis=1)
             np.copyto(args, v01 + v10, where=swap & (v01 > v00))
         if self.greedy:
-            np.put(args, self.store, self._greedy_sums(sim))
+            args.put(self.store, self._greedy_sums(sim))
         omega = params.omega
         alpha = omega / (self.p + omega)
         beta = 1.0 / (self.p + omega)
@@ -539,11 +548,8 @@ class _ApplyBlock:
             column = start - leaves
             np.maximum(at_depth[..., column:], scale[:, k] * below, out=at_depth[..., column:])
         at_depth = at_depth.reshape(-1, n - leaves)
-        for targets, (first, *rest) in self.updates:
-            best = at_depth.take(first, axis=0)
-            for index in rest:
-                np.maximum(best[: len(index)], at_depth.take(index, axis=0), out=best[: len(index)])
-            sim[targets, leaves:n] = np.maximum(sim[targets, leaves:n], best)
+        for targets, ranks in self.updates:
+            sim[targets, leaves:n] = np.maximum(sim[targets, leaves:n], _raise(at_depth, ranks))
 
 
 class Plan:
@@ -570,11 +576,10 @@ class Plan:
     ``leaf_codes`` hold each row's ``j`` and value code, and ``leaf_spans``
     one ``(span, depths)`` per term, its rows and the least depths of its
     kind, a row of the document table.  ``leaf_targets`` are the ancestors
-    with a term, by row count, falling, and ``leaf_ranks`` their member
-    ranks: rank ``c`` holds the ``c``-th row of each target with more than
-    ``c``, over a prefix of the targets.  A pass gathers ``leaf_width``
-    document columns at a time: one take per term fills the rows, then a
-    take and a maximum per rank raise the targets' best, and one assignment
+    with a term and ``leaf_ranks`` their member ranks, one
+    :func:`_member_ranks` piece.  A pass gathers ``leaf_width`` document
+    columns at a time: one take per term fills the rows, :func:`_raise`
+    takes the targets' best into the pass's one buffer, and one assignment
     writes it, since the stage is the first to write ``sim``.  Maxima are
     exact, so the order of the rows leaves every score as it was.
     """
@@ -601,7 +606,7 @@ class Plan:
         j_of: list[int] = []
         codes: list[int] = []
         self.leaf_spans = []
-        members: list[list[int]] = [[] for _ in range(queries.size)]
+        members: dict[int, list[int]] = {}
         for (row, code), found in terms.items():
             start = len(j_of)
             j_of += {*found.values()}
@@ -610,16 +615,13 @@ class Plan:
             depths = docs.class_depths[row] if row < classes else leaf_rows[row - classes]
             self.leaf_spans.append((slice(start, len(j_of)), depths))
             for u, j in found.items():
-                members[u].append(place[j])
+                members.setdefault(u, []).append(place[j])
         self.leaf_j = np.array(j_of, dtype=np.intp)
         self.leaf_codes = np.array(codes, dtype=np.intp)
-        # The targets by row count, falling, so those with more than c rows
-        # are a prefix, and member rank c is the c-th row of each of them.
-        targets = sorted(filter(members.__getitem__, range(queries.size)), key=lambda u: -len(members[u]))
-        self.leaf_targets = np.array(targets, dtype=np.intp)
-        self.leaf_ranks = [np.array([r for r in rank if r is not None], dtype=np.intp)
-                           for rank in zip_longest(*[members[u] for u in targets])]
-        self.leaf_width = max(1, _CELLS // max(len(j_of), len(targets), 1))
+        # All targets in one piece: the stage cuts the document columns instead.
+        pieces = _member_ranks(members, max(1, len(members)))
+        self.leaf_targets, self.leaf_ranks = pieces[0] if pieces else (np.empty(0, dtype=np.intp), [])
+        self.leaf_width = max(1, _CELLS // max(len(j_of), len(members), 1))
 
         greedy_class = queries.greedy_classes(commutative).tolist()
         greedy_docs = docs.greedy_documents(commutative)
@@ -653,7 +655,6 @@ class Plan:
         # One allocation for the pass, reused by every piece: a fresh
         # gathered array per piece slowed one-query searches.
         buffer = np.empty((rows + targets) * min(self.leaf_width, n))
-        first, *rest = self.leaf_ranks
         for lo in range(0, n, self.leaf_width):
             columns = slice(lo, min(lo + self.leaf_width, n))
             width = columns.stop - lo
@@ -662,11 +663,7 @@ class Plan:
             for span, depths in self.leaf_spans:
                 # Every index is in range; "wrap" lets take write to out unbuffered.
                 scored[span].take(depths[columns], axis=1, out=gathered[span], mode="wrap")
-            gathered.take(first, axis=0, out=best, mode="wrap")
-            for column in rest:
-                head = best[: len(column)]
-                np.maximum(head, gathered.take(column, axis=0), out=head)
-            sim[self.leaf_targets, columns] = best
+            sim[self.leaf_targets, columns] = _raise(gathered, self.leaf_ranks, out=best)
 
     def __call__(self, params: MetricParams) -> np.ndarray:
         """``sim`` of every query root (rows) against every document root.

@@ -250,7 +250,8 @@ class CriticalValueTable:
             for text, value in data.get("values", {}).items():
                 stat, n, level = text.split(":")
                 key = (stat, int(n), int(level))
-                if not _is_table_entry(key, value):
+                # int() also reads "06", " 6", "+6" and "6_0"; only the written spelling is a key.
+                if text != ":".join(map(str, key)) or not _is_table_entry(key, value):
                     return
                 values[key] = float(value)
         except (OSError, ValueError, AttributeError, TypeError):

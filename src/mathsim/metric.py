@@ -108,7 +108,8 @@ def validate_field(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
-    ok_low = value > low if low_open else value >= low
+    # Every range starts at 0 or above, so -0.0, which passes ``>= 0.0``, is out of range too.
+    ok_low = (value > low if low_open else value >= low) and math.copysign(1.0, value) > 0
     ok_high = value < high if high_open else value <= high
     if not (ok_low and ok_high):
         lo = "(" if low_open else "["

@@ -577,6 +577,15 @@ class TestExitCodes:
         assert f"bad params file {params}: zeta must be a number, got True" in err
         assert not (tmp_path / "out" / "hits_q_newton.csv").exists()
 
+    def test_negative_zero_param_is_config_error(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({**json.loads((ASSETS / "params.json").read_text()), "theta": -0.0}))
+        config = write_config(tmp_path, params_file=str(params))
+        query = str(ASSETS / "queries" / "q_newton.xml")
+        assert main(["search", "--config", str(config), "--query", query]) == EXIT_CONFIG
+        line, = capsys.readouterr().err.splitlines()
+        assert line == f"config error: bad params file {params}: theta=-0.0 outside [0.0, 1.0)"
+
     @pytest.mark.parametrize("bound", [float("inf"), float("nan")], ids=["inf", "nan"])
     def test_non_finite_space_bound_is_config_error(self, tmp_path, capsys, bound):
         space = json.loads((ASSETS / "space.json").read_text())

@@ -226,6 +226,9 @@ CACHE_DAMAGE = {
     "n_below_table": _cache_with("rho:3:95", 0.5),
     "n_above_table": _cache_with("rho:61:95", 0.5),
     "unknown_level": _cache_with("rho:6:90", 0.5),
+    "n_leading_zero": _cache_with("rho:06:95", 0.5),
+    "n_underscore": _cache_with("rho:6_0:95", 0.5),
+    "n_non_ascii_digit": _cache_with("rho:\u0666:95", 0.5),
     "bool_seed": _cache_with("seed", True),
     "float_samples": _cache_with("samples", float(evaluation.MC_SAMPLES)),
 }

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mathsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, ConfigError, load_config, main
-from mathsim.evaluation import read_ground_truth_csv
+from mathsim.evaluation import MC_SAMPLES, CriticalValueTable, read_ground_truth_csv
 from mathsim.mathml import MAX_DEPTH, MathMLParseError, height, parse_expression
 from mathsim.metric import load_params
 from mathsim.optimizer import load_param_space
@@ -448,3 +448,62 @@ def test_tuning_on_damaged_files_exits_with_one_line(small_run, data, command):
     line, = err.getvalue().splitlines()
     assert line.startswith("config error: " if code == EXIT_CONFIG else "error: ")
     assert out.getvalue() == ""
+
+
+GOOD_CACHE_KEYS = st.builds("{}:{}:{}".format, st.sampled_from(["rho", "tau"]), st.integers(4, 60),
+                            st.sampled_from([95, 99]))
+CACHE_VALUES = st.floats(0.0, 1.0, exclude_min=True)
+# Keys outside the table, and keys of the table spelt as the cache never writes them.
+BAD_CACHE_KEYS = st.sampled_from([
+    "rho:06:95", "rho: 6:95", "tau:6_0:99", "rho:+6:95", "rho:\u0666:95", "rho:6:95.0",
+    "median:6:95", "rho:3:95", "tau:61:99", "rho:6:90", "rho:6", "rho:6:95:1", "",
+]) | st.text(CHARS, max_size=10).filter(lambda text: text.count(":") != 2)
+# NaN and the infinities reach the file as the NaN and Infinity tokens.
+NOT_CACHE_VALUES = json_values.filter(lambda v: not (type(v) in (int, float) and 0 < v <= 1))
+
+
+@st.composite
+def cache_file(draw) -> tuple[bytes, dict]:
+    """A critical-value cache of seed 1 near the real shape, and the entries it should load.
+
+    It is whole, or damaged in its header, a key, a value, its shape or its
+    bytes; a damaged file loads nothing.
+    """
+    good = draw(st.dictionaries(GOOD_CACHE_KEYS, CACHE_VALUES, max_size=4))
+    values, header = dict(good), {"seed": 1, "samples": MC_SAMPLES}
+    damage = draw(st.sampled_from(["key", "value", "seed", "samples", "shape", "bytes", ""]))
+    if damage == "seed":
+        header["seed"] = draw(st.sampled_from([True, 1.0, "1", None, 2, [1]]))
+    if damage == "samples":
+        header["samples"] = draw(st.sampled_from([float(MC_SAMPLES), True, str(MC_SAMPLES), MC_SAMPLES + 1]))
+    if damage == "key":
+        values[draw(BAD_CACHE_KEYS)] = draw(CACHE_VALUES)
+    if damage == "value":
+        values[draw(GOOD_CACHE_KEYS)] = draw(NOT_CACHE_VALUES)
+    document = {**header, "values": values}
+    if damage == "shape":
+        document = draw(st.sampled_from([
+            [document], {"values": values}, {**header, "values": list(values.items())},
+            {**header, "values": json.dumps(values)},
+        ]))
+    data = (json.dumps(document, indent=2) + "\n").encode()
+    if damage == "bytes":
+        # Any cut loses the closing bracket; 0xff is never UTF-8.
+        cut = draw(st.integers(0, len(data.rstrip()) - 1))
+        data = draw(st.sampled_from([data[:cut], data[:cut] + b"\xff" + data[cut:]]))
+    if damage:
+        return data, {}
+    return data, {(stat, int(n), int(level)): v for key, v in good.items() for stat, n, level in [key.split(":")]}
+
+
+@settings(FUZZ, max_examples=30)
+@given(generated=cache_file())
+def test_generated_cache_loads_whole_or_not_at_all(scratch, generated):
+    data, expected = generated
+    cache = scratch / "cv.json"
+    cache.write_bytes(data)
+    table = CriticalValueTable(seed=1, cache_path=cache)
+    assert table._values == expected
+    # A miss computes the value and writes the table whole.
+    table.critical_value("rho", 4, 95)
+    assert CriticalValueTable(seed=1, cache_path=cache)._values == table._values

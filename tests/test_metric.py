@@ -117,6 +117,13 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match=field):
             make_params(**{field: value})
 
+    @pytest.mark.parametrize("field", ["delta", "zeta", "theta", "dp_rate", "cp_rate"])
+    def test_negative_zero_rejected(self, field):
+        # -0.0 passes ``>= 0.0``; with delta and theta at -0.0, sim() scored
+        # two different constants -0.0 where a plan scored 0.0.
+        with pytest.raises(ValueError, match=re.escape(f"{field}=-0.0 outside [0.0, ")):
+            make_params(**{field: -0.0})
+
     def test_weight_ordering_enforced(self):
         with pytest.raises(ValueError, match="w_eq"):
             make_params(w_eq=1.0, w_ineq=1.2, w_expr=1.0)
