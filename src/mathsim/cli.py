@@ -6,6 +6,7 @@ file whose relative paths resolve against the config file's directory.
 Exit codes: 0 success; 1 a usage error, or a bad config file or params or
 space file it names; 2 any other input that cannot be read or parsed.
 Commands raise and never catch: :func:`main` alone maps errors to codes.
+Each output file is written whole or not at all (:func:`metric.write_output`).
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         write_hitlists_csv(hitlists, config.output_dir / "hitlists.csv")
     report = evaluation.evaluate(hitlists, truths, table)
     text = evaluation.report_to_csv_text(report)
-    (config.output_dir / "report.csv").write_text(text, encoding="utf-8")
+    metric.write_output(config.output_dir / "report.csv", text)
     evaluation.write_report_json(report, config.output_dir / "report.json")
     print(text, end="")
     return EXIT_OK
@@ -225,9 +226,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         optimizer.write_run_json(run, config.output_dir / f"optimize_{kind}.json")
         if not run.converged:
             print(f"warning: model {kind} hit the generation cap", file=sys.stderr)
-    (config.output_dir / "optimize_summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
+    metric.write_json(config.output_dir / "optimize_summary.json", summary)
     metric.save_params(result.best_params, config.output_dir / "best_params.json")
     print(json.dumps(summary, indent=2))
     return EXIT_OK
@@ -241,7 +240,7 @@ def cmd_xval(args: argparse.Namespace) -> int:
     with _tuning_pool() as pool:
         report = optimizer.cross_validate(objective_fn, space, split_seed, params, pool=pool)
     text = optimizer.xval_to_csv_text(report)
-    (config.output_dir / "xval.csv").write_text(text, encoding="utf-8")
+    metric.write_output(config.output_dir / "xval.csv", text)
     optimizer.write_xval_json(report, config.output_dir / "xval.json")
     print(text, end="")
     return EXIT_OK

@@ -192,8 +192,8 @@ class NodeTable:
         first = self.leaves
         for k in range(1, len(self.level_start) - 2):
             start = int(self.level_start[k + 1])
-            below = self.places[:, start - self.leaves :]
-            # Padding is ``size``, above every position.
+            # Only the places these positions use; padding is ``size``, above every position.
+            below = self.places[: 1 + self.arity[start - self.leaves :].max(), start - self.leaves :]
             kept = (below >= first) & (below < self.size)
             counts = kept.sum(axis=0)
             # Kept children first, in order; each position has at least one.

@@ -12,20 +12,17 @@ queries with equal truth size are stacked into one array, and rho's squared
 rank differences and tau's pairwise signs are summed for the whole stack.
 Ranks are kept doubled, so the shared absent rank is an integer and both
 sums are exact.  Critical values come from seeded Monte Carlo permutation
-sampling, are filled once per truth size, and can be cached to disk.  A fill
-draws the permutations in 64-bit blocks on one worker thread while the
-calling thread reduces the previous block to rho and tau with one
-whole-block kernel; the thread ends with the fill.
+sampling, are filled once per truth size, and can be cached to disk in a
+file written whole.  A fill draws the permutations in 64-bit blocks on one
+worker thread while the calling thread reduces the previous block to rho
+and tau with one whole-block kernel; the thread ends with the fill.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-import os
-import tempfile
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -33,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .metric import read_json
+from .metric import read_json, write_json
 from .search import HitList, read_ranked_csv
 
 DEFAULT_MC_SEED = 7151
@@ -261,24 +258,12 @@ class CriticalValueTable:
     def _save_cache(self) -> None:
         if self.cache_path is None:
             return
-        payload = {
+        self.cache_path.parent.mkdir(parents=True, exist_ok=True)
+        write_json(self.cache_path, {
             "seed": self.seed,
             "samples": MC_SAMPLES,
             "values": {f"{s}:{n}:{lv}": v for (s, n, lv), v in sorted(self._values.items())},
-        }
-        # Written whole to a temporary file and renamed over the cache, so a
-        # reader (another process included) never sees a partial file.
-        self.cache_path.parent.mkdir(parents=True, exist_ok=True)
-        fd, temp = tempfile.mkstemp(
-            dir=self.cache_path.parent, prefix=self.cache_path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload, indent=2) + "\n")
-            os.replace(temp, self.cache_path)
-        except BaseException:
-            os.unlink(temp)
-            raise
+        })
 
     def _compute_for_n(self, n: int, drawer: Executor) -> None:
         # Column k of block b is sample b * width + k.  One generator shuffling
@@ -429,11 +414,10 @@ def report_to_csv_text(report: EvalReport) -> str:
 
 def write_report_json(report: EvalReport, path: str | Path) -> None:
     # The dataclasses hold only flat scalars, so their field dicts serialise as they are.
-    payload = {
+    write_json(path, {
         "queries": [vars(row) for row in report.queries],
         "averages": vars(report.averages),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    })
 
 
 def read_ground_truth_csv(path: str | Path) -> list[GroundTruth]:

@@ -6,13 +6,15 @@ argument-list similarity), the whole query aligned somewhere inside the
 document (depth-penalised), or the whole document aligned inside the query
 (depth-penalised, which is also how partial query coverage is charged).
 Depth penalties are computed from the absolute depth at which an alignment
-roots, under one of four decay shapes.
+roots, under one of four decay shapes.  :func:`read_json` reads every JSON
+input, and :func:`write_output` writes every output file, whole or not at all.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -215,6 +217,30 @@ def read_json(path: str | Path):
         raise ValueError("nested too deeply to decode") from exc
 
 
+def write_output(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, whole or not at all, and never fsynced.
+
+    A new file beside ``path``, made with the umask's mode, is renamed over
+    it; on any failure it is removed, and an OSError names ``path``, never
+    the new file.
+    """
+    temp = Path(f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(temp, "x", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(temp, path)
+    except BaseException as exc:
+        temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise
+
+
+def write_json(path: str | Path, payload) -> None:
+    """``payload`` as JSON indented by two, with a final newline, through :func:`write_output`."""
+    write_output(path, json.dumps(payload, indent=2) + "\n")
+
+
 def load_params(path: str | Path) -> tuple[MetricParams, SymbolConfig]:
     """Read a params JSON document, including any symbol-set overrides.
 
@@ -233,7 +259,7 @@ def load_params(path: str | Path) -> tuple[MetricParams, SymbolConfig]:
 
 
 def save_params(params: MetricParams, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(params.to_dict(), indent=2) + "\n", encoding="utf-8")
+    write_json(path, params.to_dict())
 
 
 def _leaf_scorer(params: MetricParams) -> Callable[[ExprTree, ExprTree], float]:

@@ -5,12 +5,11 @@ committing the best value before moving to the next parameter.  A model's
 evolution stops when a generation fails to improve on the previous one (or
 a hard cap is reached); the process repeats for all four decay shapes and
 the best-scoring shape wins.  A seeded split supports cross-validated
-optimisation with a held-out test half.
+optimisation with a held-out test half; runs and reports are written whole.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import warnings
@@ -28,7 +27,7 @@ from .evaluation import (
     evaluate,
     truth_sizes,
 )
-from .metric import DECAY_KINDS, MetricParams, read_json, validate_field
+from .metric import DECAY_KINDS, MetricParams, read_json, validate_field, write_json
 from .search import Corpus, DocumentRecord, HitList, Query, batch_search
 
 ObjectiveFn = Callable[[MetricParams], tuple[float, AverageRow]]
@@ -253,7 +252,7 @@ class OptimizationRun:
 
 
 def write_run_json(run: OptimizationRun, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(run.to_dict(), indent=2) + "\n", encoding="utf-8")
+    write_json(path, run.to_dict())
 
 
 def sweep_parameter(
@@ -454,9 +453,8 @@ def xval_to_csv_text(report: XValReport) -> str:
 
 
 def write_xval_json(report: XValReport, path: str | Path) -> None:
-    payload = {
+    write_json(path, {
         "train_queries": list(report.train_ids),
         "test_queries": list(report.test_ids),
         "rows": [dict(zip(_XVAL_COLUMNS, astuple(r))) for r in report.rows],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    })

@@ -6,13 +6,13 @@ that cannot be read or parsed fails the whole load.  Discovery is one
 ``os.scandir`` walk over plain string paths, which builds each document id
 as it goes.  Retrieval scores every document against the query (no index;
 corpora here are desk scale) and returns a truncated, deterministically
-ordered hit list.
+ordered hit list; hit lists are written out whole (:func:`metric.write_output`).
 """
 
 from __future__ import annotations
 
 import csv
-import json
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -26,7 +26,7 @@ import numpy as np
 from .engine import NodeTable, Plan
 # The benchmark's tracer wraps parse_expression and score_document in this module.
 from .mathml import ExprTree, FormulaClass, MathMLParseError, classify, parse_expression
-from .metric import DEFAULT_COMMUTATIVE, MetricParams, SymbolConfig, score_document
+from .metric import DEFAULT_COMMUTATIVE, MetricParams, SymbolConfig, score_document, write_json, write_output
 
 CORPUS_EXTENSIONS = (".xml", ".mathml")
 HITLIST_COLUMNS = ("query_id", "rank", "doc_id", "score")
@@ -256,24 +256,25 @@ def batch_search(
 
 
 def write_hitlists_csv(hitlists: Sequence[HitList], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HITLIST_COLUMNS)
-        for hl in hitlists:
-            for rank, (doc_id, score) in enumerate(hl.hits, start=1):
-                writer.writerow([hl.query_id, rank, doc_id, repr(score)])
+    # csv.writer's own "\r\n" line ends, which the hit-list files have always had.
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(HITLIST_COLUMNS)
+    for hl in hitlists:
+        for rank, (doc_id, score) in enumerate(hl.hits, start=1):
+            writer.writerow([hl.query_id, rank, doc_id, repr(score)])
+    write_output(path, buffer.getvalue())
 
 
 def write_hitlists_json(hitlists: Sequence[HitList], path: str | Path) -> None:
-    payload = [
+    write_json(path, [
         {
             "query_id": hl.query_id,
             "n": hl.n,
             "hits": [{"doc_id": d, "score": s} for d, s in hl.hits],
         }
         for hl in hitlists
-    ]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    ])
 
 
 def read_ranked_csv(path: str | Path, columns: tuple[str, ...], build: Callable) -> list:

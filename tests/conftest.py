@@ -6,7 +6,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mathsim import evaluation
 from mathsim.evaluation import CriticalValueTable, read_ground_truth_csv
 from mathsim.metric import load_params
 from mathsim.optimizer import load_param_space
@@ -61,7 +60,11 @@ def mc_table(tmp_path_factory) -> CriticalValueTable:
 
 @pytest.fixture
 def cache_writes(monkeypatch) -> list:
-    """The paths the critical-value cache is renamed onto, one per write, in order."""
+    """The paths output files are renamed onto, one per write, in order.
+
+    Every writer renames through ``os.replace``, so a test that writes other
+    outputs besides the critical-value cache sees those writes here too.
+    """
     written = []
     real_replace = os.replace
 
@@ -69,5 +72,5 @@ def cache_writes(monkeypatch) -> list:
         written.append(dst)
         real_replace(src, dst)
 
-    monkeypatch.setattr(evaluation.os, "replace", counting_replace)
+    monkeypatch.setattr(os, "replace", counting_replace)
     return written

@@ -232,6 +232,16 @@ class TestEvaluateCommand:
         assert code == EXIT_OK
         assert cache.read_bytes() == (REFERENCE_OUT / "critical_values.json").read_bytes()
 
+    def test_unwritable_report_is_data_error_naming_it(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        shutil.copy(REFERENCE_OUT / "critical_values.json", out)
+        assert main(["evaluate", "--config", str(config)]) == EXIT_DATA
+        reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"
+        assert capsys.readouterr().err == f"error: {reason}: '{out / 'report.json'}'\n"
+        assert list(out.glob("*.tmp")) == [] and list((out / "report.json").iterdir()) == []
+
     def test_external_hitlists_path(self, tmp_path):
         config = write_config(tmp_path)
         main(["evaluate", "--config", str(config)])

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import threading
 import tracemalloc
 from pathlib import Path
@@ -379,7 +380,7 @@ class TestCriticalValues:
         def failing_replace(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(evaluation.os, "replace", failing_replace)
+        monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(OSError, match="disk full"):
             CriticalValueTable(seed=42, cache_path=cache).critical_value("rho", 7, 95)
         assert cache.read_bytes() == before

@@ -105,8 +105,8 @@ def test_random_corpus_scores_equal_per_pair(kind, tmp_path, bundled_symbols):
 
 def test_loaded_trees_equal_plain_parse(assets_dir, bundled_corpus, bundled_queries):
     for record in bundled_corpus:
-        text = open(record.source_path, encoding="utf-8").read()
-        assert record.tree == parse_expression(text)
+        with open(record.source_path, encoding="utf-8") as fh:
+            assert record.tree == parse_expression(fh.read())
     for query in bundled_queries:
         text = (assets_dir / "queries" / f"{query.query_id}.xml").read_text(encoding="utf-8")
         assert query.tree == parse_expression(text)
